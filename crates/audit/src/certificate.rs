@@ -3,7 +3,7 @@
 //! Outer approximation proves global optimality only when every
 //! `T_j(n) = a/n + b·n^c + d` is convex over `n ≥ 1`, i.e. `a, b, d ≥ 0`
 //! and `c ∉ (0, 1)`. Fits can drift outside that region — fault-injected
-//! gathers, early-stopped multistarts, widened exponent bounds — so every
+//! gathers, injected synthetic curves, widened exponent bounds — so every
 //! solve certifies its curves first and the pipeline degrades to the
 //! exhaustive rung on failure instead of mislabeling an incumbent as a
 //! proven optimum.

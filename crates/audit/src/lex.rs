@@ -401,10 +401,10 @@ mod tests {
 
     #[test]
     fn raw_strings_with_hashes() {
-        let t = texts(r###"let s = r#"drain.lock() "quoted""#;"###);
+        let t = texts(r###"let s = r#"queue.lock() "quoted""#;"###);
         assert!(t
             .iter()
-            .any(|(k, x)| *k == Kind::Str && x.contains("drain.lock()")));
+            .any(|(k, x)| *k == Kind::Str && x.contains("queue.lock()")));
         let t = texts("let b = br##\"x\"# y\"##;");
         assert!(t
             .iter()

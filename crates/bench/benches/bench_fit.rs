@@ -1,5 +1,5 @@
 //! Benchmark the Figure 2 machinery: the per-component least-squares fits
-//! (Table II line 10) across multistart budgets.
+//! (Table II line 10).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hslb_cesm::{calib, Component, Resolution};
@@ -23,27 +23,9 @@ fn bench_component_fits(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_multistart_budget(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fit_multistart_budget");
-    let data = calib::observations(Resolution::EighthDegree, Component::Ocn);
-    for starts in [1usize, 8, 24, 64] {
-        group.bench_with_input(BenchmarkId::from_parameter(starts), &starts, |b, &s| {
-            let opts = ScalingFitOptions {
-                starts: s,
-                ..Default::default()
-            };
-            b.iter(|| {
-                let fit = fit_scaling(data, &opts).unwrap();
-                std::hint::black_box(fit.sse)
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_component_fits, bench_multistart_budget
+    targets = bench_component_fits
 }
 criterion_main!(benches);

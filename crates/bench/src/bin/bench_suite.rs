@@ -3,7 +3,7 @@
 //! Runs the full gather → fit → solve → execute pipeline at both paper
 //! resolutions across several node budgets, with a telemetry sink
 //! attached to every layer, and writes the per-phase timings plus solver
-//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v8`,
+//! telemetry to `BENCH_pipeline.json` (schema `hslb-bench-pipeline/v9`,
 //! documented in DESIGN.md §8; fast-path design in §10, audit gate in
 //! §11, service in §12, supervision/recovery in §13, warm-started dual
 //! simplex in §14, connection-scale serving in §15). v4 added the
@@ -21,12 +21,7 @@
 //! trigger. Every scenario records its pre-solve instance audit; the
 //! validator rejects documents whose audits did not pass — a benchmark
 //! result without a convexity certificate is not evidence of a global
-//! optimum. The fit layer runs the multistart
-//! early-stop fast path plus a per-resolution warm-start cache by
-//! default; `--no-early-stop` disables the early-stop policy for A/B
-//! comparison (the early-stop A/B leaves the fitted curves bit-identical;
-//! warm starts, by contrast, may move a curve within basin tolerance —
-//! see `WarmStartCache`).
+//! optimum.
 //!
 //! v6 adds the solver warm-start instrumentation: a top-level
 //! `warm_start` boolean, a per-scenario `solver.warm_start` block
@@ -34,9 +29,7 @@
 //! retired by incumbent-slack aging), and a `--no-warm-start` flag that
 //! runs the suite with the dual-simplex warm path disabled for A/B
 //! comparison — the incumbents must be bit-identical either way (the
-//! check.sh gate compares them), only the work counters may differ. The
-//! v6 validator also enforces the solve-phase budget: on every scenario
-//! the solve phase must not exceed the fit phase.
+//! check.sh gate compares them), only the work counters may differ.
 //!
 //! v7 rebuilds the `service` block for connection-scale serving: the
 //! load run now drives reactor-fronted shard servers over real TCP
@@ -58,18 +51,26 @@
 //! estimate, and each resolution's winner plus Pareto frontier — and a
 //! `fit_cache` accounting block inside the service block.
 //!
+//! v9 follows the exact variable-projection fit: the top-level
+//! `early_stop` flag, the per-scenario fit `starts` budget and the
+//! per-component `basin_hits`/`early_stopped` fields are gone (there is
+//! no multistart left to stop early), and each fit component reports its
+//! `profile_evals` and `sse` instead. The v6 phase budget (solve ≤ fit
+//! on every scenario) measured the solver against the multistart fit
+//! time, which is gone; v9 replaces it with a solver work budget (see
+//! [`SOLVE_WORK_BUDGET`]).
+//!
 //! ```text
 //! cargo run --release -p hslb-bench --bin bench-suite            # full suite
 //! cargo run --release -p hslb-bench --bin bench-suite -- --smoke # CI subset
 //! cargo run -p hslb-bench --bin bench-suite -- --validate FILE   # schema check
 //! cargo run -p hslb-bench --bin bench-suite -- --validate-service FILE
 //! cargo run -p hslb-bench --bin bench-suite -- --out FILE        # custom sink
-//! cargo run --release -p hslb-bench --bin bench-suite -- --no-early-stop
 //! cargo run --release -p hslb-bench --bin bench-suite -- --no-warm-start
 //! cargo run -p hslb-bench --bin bench-suite -- --compare-incumbents A B
 //! ```
 
-use hslb::{Hslb, HslbOptions, WarmStartCache};
+use hslb::{Hslb, HslbOptions};
 use hslb_bench::simulator_for;
 use hslb_cesm::Resolution;
 use hslb_telemetry::json::Value;
@@ -142,36 +143,18 @@ fn fit_components(snap: &Snapshot) -> Value {
             ("component", Value::Str(component.to_string())),
             ("r2", field("r2")),
             ("points", field("points")),
-            ("lm_iterations", field("lm_iterations")),
-            ("basin_hits", field("basin_hits")),
-            ("starts_run", field("starts_run")),
-            (
-                "early_stopped",
-                e.fields
-                    .iter()
-                    .find(|(n, _)| n == "early_stopped")
-                    .map_or(Value::Null, |&(_, v)| Value::Bool(v != 0.0)),
-            ),
+            ("profile_evals", field("profile_evals")),
+            ("sse", field("sse")),
         ]));
     }
     Value::Arr(out)
 }
 
-fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmStartCache) -> Value {
+fn run_scenario(s: &Scenario, warm_start: bool) -> Value {
     let telemetry = Telemetry::new();
     let sim = simulator_for(s.resolution, true).with_telemetry(telemetry.clone());
     let mut opts = HslbOptions::new(s.target_nodes);
-    if !early_stop {
-        opts.fit.early_stop = None;
-    }
     opts.solver.warm_start = warm_start;
-    // Scenarios of the same resolution share fitted curves: warm-start
-    // each fit from the previous scenario's optimum. (The parallel
-    // multistart driver is bit-identical to serial and available via
-    // `fit.threads`, but at ~1 ms of LM work per component the thread
-    // spawns cost more than they save — measured 10 ms vs 5 ms smoke —
-    // so the benchmark keeps the serial driver.)
-    opts.warm_cache = Some(warm.clone());
     opts.telemetry = telemetry.clone();
     let pipeline = Hslb::new(&sim, opts);
 
@@ -310,10 +293,6 @@ fn run_scenario(s: &Scenario, early_stop: bool, warm_start: bool, warm: &WarmSta
                 (
                     "min_r_squared",
                     report.min_r_squared().map_or(Value::Null, num),
-                ),
-                (
-                    "starts",
-                    num(HslbOptions::new(s.target_nodes).fit.starts as f64),
                 ),
                 ("components", fit_components(&snap)),
             ]),
@@ -644,7 +623,7 @@ fn run_drift_exercise() -> Value {
 
     let service = TuningService::start(ServiceOptions::default());
     let req = TuneRequest::new(1, Resolution::OneDegree, 96);
-    // Populate the fit cache (the rebalance path warm-starts from it).
+    // Populate the fit cache (the rebalance path re-fits its data).
     let baseline_resp = service
         .submit(req.clone())
         .expect("submit")
@@ -802,68 +781,40 @@ fn validate_scaling(sv: &Value) -> Vec<String> {
     errs
 }
 
-/// Schema check for `hslb-bench-pipeline/v8` documents. Returns every
-/// violation found (empty = valid). Older schema versions are rejected
-/// with explicit upgrade messages.
+/// Solver work budget per scenario: the branch-and-bound nodes and
+/// simplex iterations each scenario took in the last multistart-era
+/// documents (schema v8, full suite and `--smoke`), when the v6 phase
+/// budget held the solve below the fit on every scenario. With the warm
+/// path on, a v9 scenario may spend at most [`SOLVE_WORK_SLACK`] times
+/// either count. The counters are deterministic, so the budget holds or
+/// fails the same way on any host, which a budget in milliseconds taken
+/// from another run cannot; cold re-solves after a rejected warm answer
+/// count toward it.
+const SOLVE_WORK_BUDGET: [(&str, f64, f64); 6] = [
+    ("1deg_n64", 9.0, 154.0),
+    ("1deg_n96", 9.0, 199.0),
+    ("1deg_n128", 25.0, 293.0),
+    ("1deg_n256", 11.0, 223.0),
+    ("eighth_n8192", 5.0, 64.0),
+    ("eighth_n16384", 5.0, 85.0),
+];
+
+/// Headroom over [`SOLVE_WORK_BUDGET`]: the exact fit's curves differ
+/// from the multistart's, and so does the search they induce.
+const SOLVE_WORK_SLACK: f64 = 1.5;
+
+/// Schema check for `hslb-bench-pipeline/v9` documents. Returns every
+/// violation found (empty = valid). Older schema versions are rejected.
 fn validate(doc: &Value) -> Vec<String> {
     let mut errs = Vec::new();
     match doc.get("schema").and_then(Value::as_str) {
-        Some("hslb-bench-pipeline/v8") => {}
-        Some("hslb-bench-pipeline/v1") => errs.push(
-            "schema hslb-bench-pipeline/v1 is no longer accepted: regenerate with a \
-             v8 emitter (adds early_stop, fit accounting, the audit block, the \
-             solver cut_pool summary, the service load block, the recovery/drift \
-             robustness blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v2") => errs.push(
-            "schema hslb-bench-pipeline/v2 is no longer accepted: regenerate with a \
-             v8 emitter (adds the per-scenario audit block, the solver cut_pool \
-             summary, the service load block, the recovery/drift robustness \
-             blocks, the solver warm_start block, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v3") => errs.push(
-            "schema hslb-bench-pipeline/v3 is no longer accepted: regenerate with a \
-             v8 emitter (adds the per-scenario solver cut_pool summary with LP \
-             resolves per node, the top-level service load block, the \
-             recovery/drift robustness blocks, the solver warm_start block, and \
-             the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v4") => errs.push(
-            "schema hslb-bench-pipeline/v4 is no longer accepted: regenerate with a \
-             v8 emitter (embeds the current hslb-service-load service document \
-             with fault/recovery accounting, and adds the crash-recovery and \
-             drift-rebalance robustness blocks plus the solver warm_start and \
-             sweep blocks)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v5") => errs.push(
-            "schema hslb-bench-pipeline/v5 is no longer accepted: regenerate with a \
-             v8 emitter (adds the top-level warm_start boolean, the per-scenario \
-             solver.warm_start work counters, the solve ≤ fit phase-budget \
-             check, and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v6") => errs.push(
-            "schema hslb-bench-pipeline/v6 is no longer accepted: regenerate with a \
-             v8 emitter (embeds the hslb-service-load/v3 service block with the \
-             connection-scale `connections` accounting — concurrent connections, \
-             server peaks, reply-queue depth percentiles, per-shard throughput — \
-             plus the isolated-shard `scaling` A/B and the sweep block)"
-                .to_string(),
-        ),
-        Some("hslb-bench-pipeline/v7") => errs.push(
-            "schema hslb-bench-pipeline/v7 is no longer accepted: regenerate with a \
-             v8 emitter (adds the top-level `sweep` block — portfolio-sweep \
-             accounting with shared-work dedup counts, fit/gather cache hit \
-             rates, predictor MAE, and the wall-clock vs Σ-one-shot comparison — \
-             and the `fit_cache` accounting in the service block)"
-                .to_string(),
-        ),
+        Some("hslb-bench-pipeline/v9") => {}
+        Some(old) if old.starts_with("hslb-bench-pipeline/v") => errs.push(format!(
+            "schema {old} is no longer accepted: regenerate the document with \
+             this bench-suite"
+        )),
         other => errs.push(format!(
-            "schema must be hslb-bench-pipeline/v8, got {other:?}"
+            "schema must be hslb-bench-pipeline/v9, got {other:?}"
         )),
     }
     // Service block: a TCP hslb-service load run with zero pipeline
@@ -1030,10 +981,6 @@ fn validate(doc: &Value) -> Vec<String> {
         }
         _ => errs.push("missing drift block (v5 requires the drift exercise)".to_string()),
     }
-    let early_stop_enabled = doc.get("early_stop").and_then(Value::as_bool);
-    if early_stop_enabled.is_none() {
-        errs.push("missing boolean early_stop".to_string());
-    }
     let warm_start_enabled = doc.get("warm_start").and_then(Value::as_bool);
     if warm_start_enabled.is_none() {
         errs.push("missing boolean warm_start".to_string());
@@ -1062,28 +1009,33 @@ fn validate(doc: &Value) -> Vec<String> {
                         errs.push(ctx(&format!("phase_ms missing {key}")));
                     }
                 }
-                // v6 phase budget: solving the layout MINLP must not cost
-                // more than fitting the timing curves. The warm-started
-                // dual simplex (plus in-place tableau growth and the
-                // incremental presolve) is what holds this line — a
-                // violation means the solver regressed. Only enforced on
-                // the shipped configuration: the `--no-warm-start` A/B
-                // document deliberately records what turning the warm
-                // path off costs, which can (and does) bust the budget.
-                if warm_start_enabled == Some(true) {
-                    if let (Some(fit), Some(solve)) = (
-                        p.get("fit").and_then(Value::as_f64),
-                        p.get("solve").and_then(Value::as_f64),
-                    ) {
-                        if solve > fit {
-                            errs.push(ctx(&format!(
-                                "phase budget violated: solve {solve:.2} ms exceeds fit {fit:.2} ms"
-                            )));
+            }
+            None => errs.push(ctx("missing phase_ms")),
+        }
+        // v9 solver work budget, enforced on the shipped configuration
+        // only: the `--no-warm-start` A/B document records what turning
+        // the warm path off costs.
+        if warm_start_enabled == Some(true) {
+            let name = sc.get("name").and_then(Value::as_str).unwrap_or("?");
+            match SOLVE_WORK_BUDGET.iter().find(|&&(n, ..)| n == name) {
+                Some(&(_, nodes, iters)) => {
+                    for (key, budget) in [("nodes", nodes), ("simplex_iters", iters)] {
+                        let limit = budget * SOLVE_WORK_SLACK;
+                        match sc
+                            .get("solver")
+                            .and_then(|s| s.get(key))
+                            .and_then(Value::as_f64)
+                        {
+                            Some(used) if used <= limit => {}
+                            Some(used) => errs.push(ctx(&format!(
+                                "solver work budget exceeded: {key} {used} > {limit}"
+                            ))),
+                            None => errs.push(ctx(&format!("solver missing numeric {key}"))),
                         }
                     }
                 }
+                None => errs.push(ctx(&format!("no solver work budget for scenario {name:?}"))),
             }
-            None => errs.push(ctx("missing phase_ms")),
         }
         match sc.get("solver") {
             Some(solver) => {
@@ -1196,15 +1148,9 @@ fn validate(doc: &Value) -> Vec<String> {
                 "missing audit block: every scenario solve must be certified",
             )),
         }
-        // v2 fit accounting: the configured start budget, and per
-        // component the starts actually run. `starts_run` can never
-        // exceed the budget, and with early-stop disabled no component
-        // may report an early stop.
+        // v9 fit accounting: per component, the profile evaluations the
+        // exact fit made (at least one) and its sum of squared residuals.
         let Some(fit) = sc.get("fit") else { continue };
-        let Some(starts) = fit.get("starts").and_then(Value::as_f64) else {
-            errs.push(ctx("fit missing numeric starts"));
-            continue;
-        };
         let Some(components) = fit.get("components").and_then(Value::as_arr) else {
             errs.push(ctx("fit missing components array"));
             continue;
@@ -1215,26 +1161,15 @@ fn validate(doc: &Value) -> Vec<String> {
         for comp in components {
             let name = comp.get("component").and_then(Value::as_str).unwrap_or("?");
             let cctx = |field: &str| ctx(&format!("fit.components[{name}]: {field}"));
-            match comp.get("starts_run").and_then(Value::as_f64) {
-                Some(run) => {
-                    if run > starts {
-                        errs.push(cctx(&format!("starts_run {run} exceeds budget {starts}")));
-                    }
-                    if let Some(hits) = comp.get("basin_hits").and_then(Value::as_f64) {
-                        if hits > run {
-                            errs.push(cctx(&format!("basin_hits {hits} exceeds starts_run {run}")));
-                        }
-                    }
-                }
-                None => errs.push(cctx("missing numeric starts_run")),
+            match comp.get("profile_evals").and_then(Value::as_f64) {
+                Some(evals) if evals >= 1.0 => {}
+                Some(evals) => errs.push(cctx(&format!("profile_evals {evals} below 1"))),
+                None => errs.push(cctx("missing numeric profile_evals")),
             }
-            match comp.get("early_stopped").and_then(Value::as_bool) {
-                Some(stopped) => {
-                    if stopped && early_stop_enabled == Some(false) {
-                        errs.push(cctx("early_stopped while the document says disabled"));
-                    }
-                }
-                None => errs.push(cctx("missing boolean early_stopped")),
+            match comp.get("sse").and_then(Value::as_f64) {
+                Some(sse) if sse >= 0.0 => {}
+                Some(sse) => errs.push(cctx(&format!("negative sse {sse}"))),
+                None => errs.push(cctx("missing numeric sse")),
             }
         }
     }
@@ -1308,7 +1243,6 @@ fn compare_incumbents(a: &Value, b: &Value) -> Vec<String> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut early_stop = true;
     let mut warm_start = true;
     let mut out = "BENCH_pipeline.json".to_string();
     let mut validate_path: Option<String> = None;
@@ -1318,7 +1252,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--no-early-stop" => early_stop = false,
             "--no-warm-start" => warm_start = false,
             "--out" => out = it.next().expect("--out FILE").clone(),
             "--validate" => validate_path = Some(it.next().expect("--validate FILE").clone()),
@@ -1332,9 +1265,8 @@ fn main() {
             }
             other => {
                 eprintln!(
-                    "unknown flag {other}; expected --smoke | --no-early-stop | \
-                     --no-warm-start | --out FILE | --validate FILE | \
-                     --validate-service FILE | --compare-incumbents A B"
+                    "unknown flag {other}; expected --smoke | --no-warm-start | --out FILE | \
+                     --validate FILE | --validate-service FILE | --compare-incumbents A B"
                 );
                 std::process::exit(2);
             }
@@ -1395,7 +1327,7 @@ fn main() {
         let errs = validate(&doc);
         if errs.is_empty() {
             println!(
-                "{path}: valid hslb-bench-pipeline/v8 ({} scenarios)",
+                "{path}: valid hslb-bench-pipeline/v9 ({} scenarios)",
                 doc.get("scenarios")
                     .and_then(Value::as_arr)
                     .map_or(0, |a| a.len())
@@ -1409,15 +1341,12 @@ fn main() {
     }
 
     let mut results = Vec::new();
-    let mut caches: std::collections::BTreeMap<String, WarmStartCache> =
-        std::collections::BTreeMap::new();
     for s in scenarios(smoke) {
         eprintln!(
             "bench-suite: {} ({} @ {} nodes)...",
             s.name, s.resolution, s.target_nodes
         );
-        let warm = caches.entry(s.resolution.to_string()).or_default();
-        results.push(run_scenario(&s, early_stop, warm_start, warm));
+        results.push(run_scenario(&s, warm_start));
     }
     eprintln!("bench-suite: service load run...");
     let service_block = run_service_load(smoke);
@@ -1428,9 +1357,8 @@ fn main() {
     eprintln!("bench-suite: portfolio-sweep exercise...");
     let sweep_block = run_sweep_exercise(smoke);
     let doc = obj(vec![
-        ("schema", Value::Str("hslb-bench-pipeline/v8".to_string())),
+        ("schema", Value::Str("hslb-bench-pipeline/v9".to_string())),
         ("smoke", Value::Bool(smoke)),
-        ("early_stop", Value::Bool(early_stop)),
         ("warm_start", Value::Bool(warm_start)),
         ("scenarios", Value::Arr(results)),
         ("service", service_block),

@@ -67,13 +67,7 @@ pub struct Simulator {
 
 impl Simulator {
     /// Build a simulator for a resolution on a machine.
-    ///
-    /// Construction eagerly fits the resolution's calibration curves (a
-    /// one-time, process-wide cost shared through [`calib::ground_truth`])
-    /// so the first benchmark gather is as fast as a warm one instead of
-    /// silently paying the calibration inside its measured span.
     pub fn new(machine: Machine, config: ResolutionConfig, noise: NoiseSpec, seed: u64) -> Self {
-        calib::ground_truth(config.resolution);
         Simulator {
             machine,
             config,

@@ -455,7 +455,7 @@ impl<'a> ExhaustiveOptimizer<'a> {
             });
         for &no in &cands {
             let na = n - no; // all remaining nodes go to the atm group
-            if na < 3 {
+            if na < 3 || na < self.floors.atm {
                 pruned += 1;
                 continue;
             }

@@ -5,7 +5,6 @@ use crate::error::HslbError;
 use hslb_cesm::{Allocation, Component, Layout};
 use hslb_nlsq::{fit_scaling, ScalingCurve, ScalingFit, ScalingFitOptions};
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 /// The fitted curves for the four optimized components, plus fit-quality
 /// diagnostics.
@@ -151,198 +150,15 @@ impl FitSet {
     }
 }
 
-/// One warm-start entry: the fitted parameters plus an LRU tick.
-#[derive(Debug, Clone, Copy)]
-struct WarmEntry {
-    params: [f64; 4],
-    last_used: u64,
-}
-
-#[derive(Debug, Default)]
-struct WarmState {
-    /// Entries keyed by `(scope, component)`. The scope names the system
-    /// the fit belongs to (machine + resolution, say); the legacy
-    /// single-system API uses the empty scope.
-    entries: BTreeMap<(String, Component), WarmEntry>,
-    /// Monotonic access clock for LRU ordering.
-    tick: u64,
-    /// `None` = unbounded (the historical behavior).
-    capacity: Option<usize>,
-    /// Entries dropped by the eviction policy (diagnostic only).
-    evictions: u64,
-}
-
-impl WarmState {
-    fn touch(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-}
-
-/// Shared warm-start state for repeated fits of the *same machine and
-/// resolution*: each component's last fitted curve seeds the next fit's
-/// start 0, so a re-fit on fresh (or identical) data of the same system
-/// begins near-converged and the early-stop policy confirms the basin in
-/// a handful of LM iterations.
-///
-/// Unlike the early-stop policy — which is *exactly* invariant (the
-/// fitted curves are bit-identical with it on or off) — a warm start may
-/// move the fitted curve within the basin tolerance: the cached
-/// parameters replace the caller's start 0, which is also the
-/// residual-scale reference point and the index-0 tie-break of the
-/// multistart, so a warm re-fit of identical data is guaranteed to land
-/// in the same basin (tests assert 1e-4 relative agreement on
-/// predictions) but not to reproduce the cold fit bit-for-bit.
-///
-/// The handle is cheap to clone (shared state behind an `Arc`). Entries
-/// are keyed by a *scope* string naming the system they came from
-/// ([`WarmStartCache::scoped`]); the plain [`WarmStartCache::get`] /
-/// [`WarmStartCache::store`] API reads and writes the handle's own scope
-/// (empty for a fresh cache), so single-system callers behave exactly as
-/// before. A multi-tenant caller — the tuning service, one scope per
-/// machine/resolution — bounds the cache with
-/// [`WarmStartCache::with_capacity`]: inserts beyond the capacity evict
-/// the least-recently-used entry. Eviction is safe by construction: a
-/// missing warm start only means the next fit of that scope runs cold,
-/// which is the same-basin contract warm starts already carry.
-#[derive(Debug, Clone, Default)]
-pub struct WarmStartCache {
-    inner: Arc<Mutex<WarmState>>,
-    /// The scope this handle reads and writes by default.
-    scope: String,
-}
-
-impl WarmStartCache {
-    /// An empty, unbounded cache; the first `fit_all_warm` through it
-    /// runs cold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache holding at most `capacity` entries across all
-    /// scopes; inserts beyond that evict the least-recently-used entry.
-    /// A capacity of 0 caches nothing (every fit runs cold).
-    pub fn with_capacity(capacity: usize) -> Self {
-        WarmStartCache {
-            inner: Arc::new(Mutex::new(WarmState {
-                capacity: Some(capacity),
-                ..WarmState::default()
-            })),
-            scope: String::new(),
-        }
-    }
-
-    /// A handle sharing this cache's storage (and capacity) whose
-    /// `get`/`store` operate on `scope` instead of this handle's scope.
-    pub fn scoped(&self, scope: &str) -> WarmStartCache {
-        WarmStartCache {
-            inner: Arc::clone(&self.inner),
-            scope: scope.to_string(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, WarmState> {
-        // A poisoned mutex only means another thread panicked mid-store;
-        // warm starts are advisory, so the surviving state is still good.
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The last fitted parameters for `c` in this handle's scope, if they
-    /// are still resident. A hit refreshes the entry's recency.
-    pub fn get(&self, c: Component) -> Option<[f64; 4]> {
-        let mut st = self.lock();
-        let tick = st.touch();
-        let entry = st.entries.get_mut(&(self.scope.clone(), c))?;
-        entry.last_used = tick;
-        Some(entry.params)
-    }
-
-    /// Record `curve` as the warm start for future fits of `c` in this
-    /// handle's scope, evicting the least-recently-used entry if the
-    /// cache is over capacity.
-    pub fn store(&self, c: Component, curve: &ScalingCurve) {
-        let mut st = self.lock();
-        if st.capacity == Some(0) {
-            return;
-        }
-        let tick = st.touch();
-        st.entries.insert(
-            (self.scope.clone(), c),
-            WarmEntry {
-                params: [curve.a, curve.b, curve.c, curve.d],
-                last_used: tick,
-            },
-        );
-        while st.capacity.is_some_and(|cap| st.entries.len() > cap) {
-            let Some(oldest) = st
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            st.entries.remove(&oldest);
-            st.evictions += 1;
-        }
-    }
-
-    /// How many warm starts are resident, across all scopes.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// Is the cache still cold?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The configured capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.lock().capacity
-    }
-
-    /// How many entries the eviction policy has dropped so far.
-    pub fn evictions(&self) -> u64 {
-        self.lock().evictions
-    }
-
-    /// The scopes currently holding at least one entry, in sorted order.
-    pub fn scopes(&self) -> Vec<String> {
-        let st = self.lock();
-        let mut out: Vec<String> = st.entries.keys().map(|(s, _)| s.clone()).collect();
-        out.dedup();
-        out
-    }
-}
-
 /// Fit all four optimized components from benchmark data (Table II's four
 /// least-squares problems).
 pub fn fit_all(data: &BenchmarkData, opts: &ScalingFitOptions) -> Result<FitSet, HslbError> {
-    fit_all_warm(data, opts, None)
-}
-
-/// [`fit_all`] with an optional [`WarmStartCache`]: stored curves seed
-/// each component's start 0, and the fitted curves are written back for
-/// the next round.
-pub fn fit_all_warm(
-    data: &BenchmarkData,
-    opts: &ScalingFitOptions,
-    cache: Option<&WarmStartCache>,
-) -> Result<FitSet, HslbError> {
     let mut fits = BTreeMap::new();
     for &c in &Component::OPTIMIZED {
-        let component_opts = ScalingFitOptions {
-            warm_start: cache.and_then(|w| w.get(c)).or(opts.warm_start),
-            ..opts.clone()
-        };
-        let fit = fit_scaling(data.of(c), &component_opts).map_err(|source| HslbError::Fit {
+        let fit = fit_scaling(data.of(c), opts).map_err(|source| HslbError::Fit {
             component: c,
             source,
         })?;
-        if let Some(w) = cache {
-            w.store(c, &fit.curve);
-        }
         fits.insert(c, fit);
     }
     Ok(FitSet { fits })
@@ -465,116 +281,6 @@ mod tests {
             fits.optimized_curve(Component::Atm),
             fits.curve(Component::Atm).unwrap()
         );
-    }
-
-    #[test]
-    fn warm_start_cache_round_trips_fitted_curves() {
-        let sim = Simulator::one_degree(5);
-        let data = gather(&sim, &[16, 64, 256, 1024, 2048]);
-        let cache = WarmStartCache::new();
-        assert!(cache.is_empty());
-        let cold = fit_all_warm(&data, &ScalingFitOptions::default(), Some(&cache)).unwrap();
-        assert_eq!(cache.len(), Component::OPTIMIZED.len());
-        // A re-fit of the same data from the cached warm starts lands in
-        // the same basin: predictions agree tightly with the cold fit.
-        let warm = fit_all_warm(&data, &ScalingFitOptions::default(), Some(&cache)).unwrap();
-        for &c in &Component::OPTIMIZED {
-            for n in [16i64, 128, 1024] {
-                let (p_cold, p_warm) = (cold.predict(c, n), warm.predict(c, n));
-                assert!(
-                    (p_cold - p_warm).abs() <= 1e-4 * p_cold.abs(),
-                    "{c}@{n}: cold {p_cold} vs warm {p_warm}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn warm_start_cache_evicts_least_recently_used() {
-        let curve = ScalingCurve {
-            a: 1.0,
-            b: 2.0,
-            c: 1.5,
-            d: 0.5,
-        };
-        let cache = WarmStartCache::with_capacity(2);
-        assert_eq!(cache.capacity(), Some(2));
-        let (a, b, c) = (cache.scoped("a"), cache.scoped("b"), cache.scoped("c"));
-        a.store(Component::Atm, &curve);
-        b.store(Component::Atm, &curve);
-        // Touch "a" so "b" becomes the least recently used...
-        assert!(a.get(Component::Atm).is_some());
-        c.store(Component::Atm, &curve);
-        // ...and the third scope's insert evicts "b", not "a".
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions(), 1);
-        assert!(a.get(Component::Atm).is_some());
-        assert!(b.get(Component::Atm).is_none());
-        assert!(c.get(Component::Atm).is_some());
-        assert_eq!(cache.scopes(), vec!["a".to_string(), "c".to_string()]);
-    }
-
-    #[test]
-    fn zero_capacity_cache_fits_bit_identical_to_cold() {
-        // A capacity-0 cache evicts everything immediately, so every fit
-        // runs cold: the fitted curves must be bit-identical to fit_all
-        // with no cache at all. This is the strongest form of "eviction
-        // never changes fit results".
-        let sim = Simulator::one_degree(5);
-        let data = gather(&sim, &[16, 64, 256, 1024, 2048]);
-        let cold = fit_all(&data, &ScalingFitOptions::default()).unwrap();
-        let evicted = WarmStartCache::with_capacity(0);
-        let bounded = fit_all_warm(&data, &ScalingFitOptions::default(), Some(&evicted)).unwrap();
-        assert!(evicted.is_empty(), "capacity 0 must cache nothing");
-        for &c in &Component::OPTIMIZED {
-            let (cc, bc) = (cold.fit(c).unwrap().curve, bounded.fit(c).unwrap().curve);
-            assert_eq!(cc.a.to_bits(), bc.a.to_bits(), "{c}: a");
-            assert_eq!(cc.b.to_bits(), bc.b.to_bits(), "{c}: b");
-            assert_eq!(cc.c.to_bits(), bc.c.to_bits(), "{c}: c");
-            assert_eq!(cc.d.to_bits(), bc.d.to_bits(), "{c}: d");
-        }
-    }
-
-    #[test]
-    fn evicted_warm_start_stays_in_the_cold_basin() {
-        // Mid-capacity: some components keep their warm start, others are
-        // evicted and re-fit cold. Either way every prediction stays in
-        // the cold fit's basin (the existing warm-start contract).
-        let sim = Simulator::one_degree(5);
-        let data = gather(&sim, &[16, 64, 256, 1024, 2048]);
-        let cold = fit_all(&data, &ScalingFitOptions::default()).unwrap();
-        let cache = WarmStartCache::with_capacity(2);
-        let _first = fit_all_warm(&data, &ScalingFitOptions::default(), Some(&cache)).unwrap();
-        assert_eq!(cache.len(), 2, "two of four entries must have survived");
-        assert_eq!(cache.evictions(), 2);
-        let warm = fit_all_warm(&data, &ScalingFitOptions::default(), Some(&cache)).unwrap();
-        for &c in &Component::OPTIMIZED {
-            for n in [16i64, 128, 1024] {
-                let (p_cold, p_warm) = (cold.predict(c, n), warm.predict(c, n));
-                assert!(
-                    (p_cold - p_warm).abs() <= 1e-4 * p_cold.abs(),
-                    "{c}@{n}: cold {p_cold} vs warm {p_warm}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scoped_handles_are_isolated_but_share_storage() {
-        let curve = ScalingCurve {
-            a: 3.0,
-            b: 1.0,
-            c: 2.0,
-            d: 0.0,
-        };
-        let cache = WarmStartCache::new();
-        cache.scoped("intrepid/1deg").store(Component::Ocn, &curve);
-        // The default scope sees nothing...
-        assert!(cache.get(Component::Ocn).is_none());
-        // ...but a second handle to the same scope sees the entry.
-        let again = cache.scoped("intrepid/1deg");
-        assert_eq!(again.get(Component::Ocn), Some([3.0, 1.0, 2.0, 0.0]));
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod whatif;
 pub use data::BenchmarkData;
 pub use error::HslbError;
 pub use exhaustive::ExhaustiveOptimizer;
-pub use fit::{fit_all, fit_all_warm, FitSet, WarmStartCache};
+pub use fit::{fit_all, FitSet};
 pub use layout_model::{build_layout_model, LayoutModel, LayoutModelOptions, NodeFloors};
 pub use objective::Objective;
 pub use pipeline::{rebalance, GatherPlan, Hslb, HslbOptions, PipelineArtifacts, SolveOutcome};

@@ -8,7 +8,7 @@
 use crate::data::BenchmarkData;
 use crate::error::HslbError;
 use crate::exhaustive::ExhaustiveOptimizer;
-use crate::fit::{fit_all_warm, FitSet, WarmStartCache};
+use crate::fit::{fit_all, FitSet};
 use crate::layout_model::{build_layout_model, LayoutModelOptions};
 use crate::manual::SimulatedExpert;
 use crate::objective::Objective;
@@ -60,10 +60,6 @@ pub struct HslbOptions {
     pub solver: MinlpOptions,
     /// Ice–land synchronization tolerance (Table I line 9), optional.
     pub tsync: Option<f64>,
-    /// Warm-start cache shared across pipelines of the same machine and
-    /// resolution: each fit seeds from the previous scenario's fitted
-    /// curves. `None` (the default) fits cold every time.
-    pub warm_cache: Option<WarmStartCache>,
     /// Retry/backoff policy for benchmark and coupled runs.
     pub retry: RetryPolicy,
     /// When set, the solve step uses these curves instead of fitting the
@@ -87,17 +83,9 @@ impl HslbOptions {
             objective: Objective::MinMax,
             target_nodes,
             gather: GatherPlan::default_for(target_nodes),
-            // The pipeline opts into the multistart early-stop fast path:
-            // the fitted curves are bit-identical with it on or off
-            // (asserted by tests/fast_path.rs), only the redundant starts
-            // are skipped.
-            fit: ScalingFitOptions {
-                early_stop: Some(hslb_nlsq::EarlyStopPolicy::default()),
-                ..ScalingFitOptions::default()
-            },
+            fit: ScalingFitOptions::default(),
             solver: MinlpOptions::default(),
             tsync: None,
-            warm_cache: None,
             retry: RetryPolicy::default(),
             curve_override: None,
             telemetry: hslb_telemetry::Telemetry::disabled(),
@@ -375,12 +363,10 @@ impl<'a> Hslb<'a> {
         out
     }
 
-    /// Step 2: fit the four performance curves. When a
-    /// [`WarmStartCache`] is configured, each fit seeds from the
-    /// previous scenario's curve and the fitted curves are written back.
+    /// Step 2: fit the four performance curves.
     pub fn fit(&self, data: &BenchmarkData) -> Result<FitSet, HslbError> {
         let _span = self.opts.telemetry.span("fit");
-        let fits = fit_all_warm(data, &self.opts.fit, self.opts.warm_cache.as_ref())?;
+        let fits = fit_all(data, &self.opts.fit)?;
         if self.opts.telemetry.is_enabled() {
             for (c, f) in fits.iter() {
                 self.opts.telemetry.point(
@@ -388,10 +374,8 @@ impl<'a> Hslb<'a> {
                     &[
                         ("r2", f.r_squared),
                         ("points", f.points as f64),
-                        ("lm_iterations", f.lm_iterations as f64),
-                        ("basin_hits", f.basin_hits as f64),
-                        ("starts_run", f.starts_run as f64),
-                        ("early_stopped", f64::from(u8::from(f.early_stopped))),
+                        ("profile_evals", f.lm_iterations as f64),
+                        ("sse", f.sse),
                     ],
                     &[("component", &c.to_string())],
                 );
@@ -836,32 +820,22 @@ impl<'a> Hslb<'a> {
     }
 }
 
-/// Drift-rebalance entry point (ROADMAP item 4, first cut): re-fit
-/// `data` — typically previously gathered benchmarks merged with freshly
-/// streamed timing samples — warm-started from `prior`'s curves, then
-/// re-solve and re-execute under the caller's options.
-///
-/// The warm start seeds each component's multistart from the prior
-/// fitted parameters, so a re-fit of mildly drifted data begins
-/// near-converged (the same-basin contract of [`WarmStartCache`]). Any
+/// Drift-rebalance entry point: re-fit `data` — typically previously
+/// gathered benchmarks merged with freshly streamed timing samples —
+/// then re-solve and re-execute under the caller's options. The fit is
+/// exact, so the re-fit needs nothing from the stale curves. Any
 /// `curve_override` in `opts` is cleared: a rebalance exists precisely
 /// to replace stale curves with a fresh fit of the drifted data.
 pub fn rebalance(
     sim: &Simulator,
     mut opts: HslbOptions,
     data: BenchmarkData,
-    prior: &FitSet,
 ) -> Result<(ExperimentReport, PipelineArtifacts), HslbError> {
     let total_points: usize = data.components().iter().map(|&c| data.count(c)).sum();
     opts.telemetry
         .point("drift.rebalance", &[("points", total_points as f64)], &[]);
     opts.gather = GatherPlan::Reuse(data);
     opts.curve_override = None;
-    let cache = opts.warm_cache.take().unwrap_or_default();
-    for (c, fit) in prior.iter() {
-        cache.store(c, &fit.curve);
-    }
-    opts.warm_cache = Some(cache);
     Hslb::new(sim, opts).run_with_artifacts(None)
 }
 

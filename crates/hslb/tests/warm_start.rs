@@ -8,8 +8,8 @@
 //! That is the acceptance bar for the warm-start work: it buys time,
 //! never a different answer.
 
-use hslb::{Hslb, HslbOptions};
-use hslb_cesm::Simulator;
+use hslb::{GatherPlan, Hslb, HslbOptions, Objective};
+use hslb_cesm::{Layout, Machine, NoiseSpec, ResolutionConfig, Simulator};
 
 fn run_report(warm_start: bool, threads: usize, seed: u64) -> hslb::ExperimentReport {
     let sim = Simulator::one_degree(seed);
@@ -135,4 +135,46 @@ fn warm_start_saves_simplex_work() {
         ws.simplex_iters,
         cs.simplex_iters
     );
+}
+
+#[test]
+fn long_warm_edit_chains_reach_the_cold_optimum() {
+    // 1° fully sequential min-max over whole-machine data (the service
+    // keys `1deg|sequential|min-max|n{512,1024}|oceantrue|seed42`) drives
+    // the warm tableau through long chains of cut appends and bound
+    // changes until it drifts from the posed problem. Before warm answers
+    // were certified against the posed rows, that drift pruned live
+    // nodes: on 1024 nodes the warm run settled on 228.8 s against the
+    // cold 154.1 s optimum.
+    let solve = |nodes: i64, warm_start: bool| {
+        let sim = Simulator::new(
+            Machine::intrepid(),
+            ResolutionConfig::one_degree(),
+            NoiseSpec::default(),
+            42,
+        );
+        let mut opts = HslbOptions::new(nodes);
+        opts.layout = Layout::FullySequential;
+        opts.objective = Objective::MinMax;
+        opts.gather = GatherPlan::LogSpaced {
+            min_nodes: 8,
+            max_nodes: Machine::intrepid().nodes,
+            points: 8,
+        };
+        opts.solver.warm_start = warm_start;
+        Hslb::new(&sim, opts).run(None).expect("pipeline run")
+    };
+    for nodes in [512, 1024] {
+        let (warm, cold) = (solve(nodes, true), solve(nodes, false));
+        let (pw, pc) = (
+            warm.hslb.predicted_total.expect("minlp objective"),
+            cold.hslb.predicted_total.expect("minlp objective"),
+        );
+        assert!(
+            (pw - pc).abs() <= 1e-9 * pc,
+            "n{nodes}: warm optimum {pw} vs cold {pc}"
+        );
+        let stats = warm.solver_stats.as_ref().expect("MINLP rung solved");
+        assert!(stats.warm_resolves > 0, "n{nodes}: warm path not exercised");
+    }
 }

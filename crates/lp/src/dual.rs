@@ -20,11 +20,20 @@
 //! Every consumer keeps the **fallback ladder**: a warm resolve that errors
 //! (iteration limit, numerical breakdown, shape drift) is answered by a
 //! cold two-phase solve of the freshly rebuilt problem, never by giving up.
+//!
+//! Long edit chains let the dense tableau drift from the problem it
+//! stands for: it has reported "optimal" points violating cut rows by
+//! ~1e3 and infeasibility verdicts for feasible problems. So `resolve`
+//! checks every answer against the rows and bounds as posed, not against
+//! the tableau — an optimum by a primal and a duality-gap certificate, an
+//! infeasibility by a Farkas row — and an answer that fails is an error,
+//! which sends the caller down the fallback ladder.
 
 use crate::basis::{Basis, ColumnState};
 use crate::problem::LpProblem;
 use crate::simplex::{extract, iterate, solve_impl, Tableau, VarState};
 use crate::{LpError, LpSolution, LpStatus, SimplexOptions};
+use std::ops::Range;
 
 /// Cold two-phase solve that also hands back the live tableau for warm
 /// re-solves. The second element is `None` when the solve did not end
@@ -50,13 +59,28 @@ pub struct WarmLp {
     tab: Tableau,
     /// Structural variable count.
     n: usize,
+    /// Every row as posed, `terms·x + slack = rhs`, in tableau row order;
+    /// answers are certified against these, never against the tableau.
+    rows: Vec<PosedRow>,
 }
+
+/// A constraint row over structurals as it was posed.
+#[derive(Debug, Clone)]
+struct PosedRow {
+    terms: Vec<(usize, f64)>,
+    rhs: f64,
+}
+
+/// Relative tolerance of the answer certificates: primal residuals
+/// against each row's magnitude, the duality gap and a Farkas row's
+/// violation against the magnitude of the sums involved.
+const CERT_TOL: f64 = 1e-7;
 
 impl WarmLp {
     /// Wrap the final tableau of an optimal phase-2 solve. Returns `None`
     /// when an artificial column is still basic (redundant row): stripping
     /// it would leave a row without a basic column.
-    pub(crate) fn from_tableau(tab: Tableau, n: usize) -> Option<WarmLp> {
+    pub(crate) fn from_tableau(tab: Tableau, n: usize, p: &LpProblem) -> Option<WarmLp> {
         let m = tab.basis.len();
         let keep_cols = n + m;
         if tab.basis.iter().any(|&b| b >= keep_cols) {
@@ -77,7 +101,15 @@ impl WarmLp {
             cost: tab.cost[..keep_cols].to_vec(),
             first_artificial: keep_cols,
         };
-        Some(WarmLp { tab, n })
+        let rows = p
+            .rows
+            .iter()
+            .map(|r| PosedRow {
+                terms: r.terms.clone(),
+                rhs: r.rhs,
+            })
+            .collect();
+        Some(WarmLp { tab, n, rows })
     }
 
     /// Number of structural variables.
@@ -215,19 +247,31 @@ impl WarmLp {
             tab.d.push(0.0);
             tab.cost.push(0.0);
             tab.first_artificial = tab.lb.len();
+            self.rows.push(PosedRow {
+                terms: terms.to_vec(),
+                rhs,
+            });
         }
         Ok(())
     }
 
     /// Re-solve after edits: dual simplex back to primal feasibility, then
-    /// a primal pass that certifies optimality (and mops up any reduced-
-    /// cost drift from the pivot arithmetic). Errors mean the caller
-    /// should fall back to a cold rebuild.
+    /// a primal pass that reaches optimality (and mops up any reduced-
+    /// cost drift from the pivot arithmetic). Only an answer the posed
+    /// problem certifies is returned — `Optimal` by
+    /// [`Self::certifies_optimal`], `Infeasible` by
+    /// [`Self::certifies_infeasible`]; anything else (including
+    /// `Unbounded`, which the bounded relaxations here never are) is an
+    /// error, and errors mean the caller should fall back to a cold
+    /// rebuild.
     pub fn resolve(&mut self, opts: &SimplexOptions) -> Result<LpSolution, LpError> {
         let m = self.tab.basis.len();
         let mut iters = 0usize;
         let st = dual_iterate(&mut self.tab, opts, &mut iters)?;
         if st == LpStatus::Infeasible {
+            if !self.certifies_infeasible(opts.tol) {
+                return Err(LpError::Numerical("warm infeasibility not certified"));
+            }
             return Ok(LpSolution {
                 status: LpStatus::Infeasible,
                 x: extract(&self.tab, self.n),
@@ -237,7 +281,107 @@ impl WarmLp {
             });
         }
         let st = iterate(&mut self.tab, opts, &mut iters)?;
-        Ok(self.solution(st, iters))
+        let sol = self.solution(st, iters);
+        if st != LpStatus::Optimal || !self.certifies_optimal(&sol) {
+            return Err(LpError::Numerical("warm optimum not certified"));
+        }
+        Ok(sol)
+    }
+
+    /// Is `sol` optimal for the posed problem? Primal: every structural
+    /// within its bounds, and every row's slack (`rhs − a·x`) within the
+    /// slack's bounds, relative to the row's magnitude `|rhs| + Σ|a·x|`.
+    /// Dual: any multipliers `y` bound the optimum from below by
+    /// `L(y) = y·b + Σⱼ min over [lⱼ, uⱼ] of rⱼ·zⱼ` with reduced costs
+    /// `r = c − A′ᵀy`, so the tableau's duals certify `x` when `c·x − L(y)`
+    /// is at rounding level. A reduced cost at rounding level against an
+    /// infinite bound is charged at the point's own value. One pass over
+    /// the posed rows serves both halves.
+    fn certifies_optimal(&self, sol: &LpSolution) -> bool {
+        let (n, tab) = (self.n, &self.tab);
+        let (x, y) = (&sol.x, &sol.row_duals);
+        let within = |j: usize, v: f64, scale: f64| {
+            let slack = CERT_TOL * scale;
+            v >= tab.lb[j] - slack && v <= tab.ub[j] + slack
+        };
+        if !(0..n).all(|j| within(j, x[j], 1.0 + x[j].abs())) {
+            return false;
+        }
+        let tiny = CERT_TOL * (1.0 + sol.objective.abs());
+        let mut reduced = tab.cost[..n].to_vec();
+        let (mut bound, mut size) = (0.0, sol.objective.abs());
+        for (i, (row, &yi)) in self.rows.iter().zip(y).enumerate() {
+            let (mut activity, mut magnitude) = (0.0, row.rhs.abs());
+            for &(v, c) in &row.terms {
+                activity += c * x[v];
+                magnitude += (c * x[v]).abs();
+                reduced[v] -= yi * c;
+            }
+            // The row's slack: its value, then its reduced cost `−yᵢ`.
+            let (j, slack) = (n + i, row.rhs - activity);
+            if !within(j, slack, 1.0 + magnitude) {
+                return false;
+            }
+            let Some(term) = box_term(-yi, tab.lb[j]..tab.ub[j], slack, tiny) else {
+                return false;
+            };
+            bound += yi * row.rhs + term;
+            size += (yi * row.rhs).abs() + term.abs();
+        }
+        for (j, (&r, &v)) in reduced.iter().zip(x).enumerate() {
+            let Some(term) = box_term(r, tab.lb[j]..tab.ub[j], v, tiny) else {
+                return false;
+            };
+            bound += term;
+            size += term.abs();
+        }
+        sol.objective - bound <= CERT_TOL * (1.0 + size)
+    }
+
+    /// Is the posed problem infeasible? Row `r` of `B⁻¹` combines the
+    /// posed rows into `g·z = y·b` with `g = yᵀA′`, which every point
+    /// satisfying them obeys; when `y·b` lies outside the range of `g·z`
+    /// over the column bounds, no such point exists (Farkas). Tried on
+    /// every row whose basic value violates its bounds. A coefficient at
+    /// rounding level against an infinite bound is taken at the current
+    /// point's value.
+    fn certifies_infeasible(&self, tol: f64) -> bool {
+        let (n, tab) = (self.n, &self.tab);
+        let mut point = extract(tab, n);
+        for row in &self.rows {
+            let activity: f64 = row.terms.iter().map(|&(v, c)| c * point[v]).sum();
+            point.push(row.rhs - activity);
+        }
+        let m = tab.basis.len();
+        (0..m).any(|r| {
+            let b = tab.basis[r];
+            let v = tab.xb[r];
+            if v >= tab.lb[b] - tol && v <= tab.ub[b] + tol {
+                return false;
+            }
+            let y: Vec<f64> = (0..m).map(|i| tab.t[(r, n + i)]).collect();
+            let mut g = vec![0.0; n];
+            let (mut rhs, mut size) = (0.0, 0.0);
+            for (row, &yi) in self.rows.iter().zip(&y) {
+                rhs += yi * row.rhs;
+                size += (yi * row.rhs).abs();
+                for &(v, c) in &row.terms {
+                    g[v] += yi * c;
+                }
+            }
+            g.extend_from_slice(&y);
+            let tiny = CERT_TOL * g.iter().fold(0.0_f64, |a, &c| a.max(c.abs()));
+            let (mut lo, mut hi) = (0.0, 0.0);
+            for (j, (&c, &v)) in g.iter().zip(&point).enumerate() {
+                let low = box_term(c, tab.lb[j]..tab.ub[j], v, tiny);
+                let high = box_term(-c, tab.lb[j]..tab.ub[j], v, tiny).map(|t| -t);
+                lo += low.unwrap_or(f64::NEG_INFINITY);
+                hi += high.unwrap_or(f64::INFINITY);
+                size += low.map_or(0.0, f64::abs).max(high.map_or(0.0, f64::abs));
+            }
+            let slack = CERT_TOL * (1.0 + size);
+            rhs < lo - slack || rhs > hi + slack
+        })
     }
 
     /// Assemble an [`LpSolution`] from the current tableau.
@@ -256,6 +400,26 @@ impl WarmLp {
             iterations,
             row_duals,
         }
+    }
+}
+
+/// The least value of `coef·z` over `z ∈ bounds`; `None` when it is
+/// −∞. A coefficient no larger than `tiny` against an infinite bound is
+/// charged at `value` instead.
+fn box_term(coef: f64, bounds: Range<f64>, value: f64, tiny: f64) -> Option<f64> {
+    let at = if coef > 0.0 {
+        bounds.start
+    } else if coef < 0.0 {
+        bounds.end
+    } else {
+        return Some(0.0);
+    };
+    if at.is_finite() {
+        Some(coef * at)
+    } else if coef.abs() <= tiny {
+        Some(coef * value)
+    } else {
+        None
     }
 }
 
@@ -469,6 +633,56 @@ mod tests {
         warm.set_var_bounds(1, 0.0, 5.0);
         let re = warm.resolve(&opts).unwrap();
         assert_eq!(re.status, LpStatus::Infeasible);
+    }
+
+    #[test]
+    fn certificate_rejects_a_feasible_suboptimal_point() {
+        let opts = SimplexOptions::default();
+        let (sol, warm) = solve_keep(&sample(), &opts).unwrap();
+        let warm = warm.unwrap();
+        assert!(warm.certifies_optimal(&sol));
+        // (5, 5) satisfies every row and bound but is 3 above the optimum.
+        let worse = LpSolution {
+            x: vec![5.0, 5.0],
+            objective: -15.0,
+            ..sol.clone()
+        };
+        assert!(!warm.certifies_optimal(&worse));
+        // A violated row fails the primal half whatever the objective.
+        let outside = LpSolution {
+            x: vec![4.0, 8.0],
+            objective: -20.0,
+            ..sol
+        };
+        assert!(!warm.certifies_optimal(&outside));
+    }
+
+    #[test]
+    fn drifted_tableau_answers_are_errors_not_answers() {
+        let opts = SimplexOptions::default();
+        // The appended cut x + 3y ≤ 20 cuts off the optimum (2, 8); a
+        // tableau that lost track of the violation would call (2, 8)
+        // optimal.
+        let (_, warm) = solve_keep(&sample(), &opts).unwrap();
+        let mut drifted = warm.unwrap();
+        drifted.append_le_row(&[(0, 1.0), (1, 3.0)], 20.0).unwrap();
+        let cut = drifted.num_rows() - 1;
+        drifted.tab.xb[cut] = 1.0;
+        assert!(drifted.resolve(&opts).is_err());
+
+        // A cut row whose tableau entries decayed to zero admits no
+        // entering column, so the dual simplex calls the (feasible)
+        // problem infeasible.
+        let (_, warm) = solve_keep(&sample(), &opts).unwrap();
+        let mut drifted = warm.unwrap();
+        drifted.append_le_row(&[(0, 1.0), (1, 3.0)], 20.0).unwrap();
+        let cut = drifted.num_rows() - 1;
+        for j in 0..drifted.tab.ncols() {
+            if drifted.tab.basis[cut] != j {
+                drifted.tab.t[(cut, j)] = 0.0;
+            }
+        }
+        assert!(drifted.resolve(&opts).is_err());
     }
 
     #[test]

@@ -403,7 +403,7 @@ pub(crate) fn solve_impl(
     // reduced cost is d = 0 − yᵀe_i, so y_i = −d[slack_i].
     let row_duals: Vec<f64> = (0..m).map(|i| -tab.d[n + i]).collect();
     let warm = if keep && st == LpStatus::Optimal {
-        crate::dual::WarmLp::from_tableau(tab, n)
+        crate::dual::WarmLp::from_tableau(tab, n, p)
     } else {
         None
     };

@@ -1,4 +1,4 @@
-//! Box-constrained nonlinear least squares for performance-curve fitting.
+//! Box-constrained least squares for performance-curve fitting.
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 //!
@@ -14,20 +14,17 @@
 //! min_{a,b,c,d ≥ 0}  Σ_i ( y_ji − a_j/n_ji − b_j·n_ji^{c_j} − d_j )²   (Table II, line 10)
 //! ```
 //!
-//! This crate implements the general machinery — a Levenberg–Marquardt
-//! solver with projected box constraints ([`lm`]) and a deterministic
-//! multistart wrapper ([`multistart`]) that reproduces the paper's
-//! observation that different local optima fit equally well — plus the
-//! concrete paper model with its analytic Jacobian ([`scaling`]).
+//! For a fixed exponent `c` the model is linear in `(a, b, d)`, so
+//! [`fit_scaling`] solves that box-constrained linear least squares
+//! exactly and minimizes the projected residual over `c` alone — variable
+//! projection (Golub & Pereyra, 1973). The fit is deterministic and needs
+//! no starting point; the paper's §III-C observation that different
+//! starting points reach fits of equal quality has nothing left to
+//! explore. [`diagnostics`] adds parameter standard errors and prediction
+//! intervals for a fitted curve.
 
 pub mod diagnostics;
-pub mod lm;
-pub mod multistart;
 pub mod scaling;
 
 pub use diagnostics::{diagnose, FitDiagnostics};
-pub use lm::{LmOptions, LmOutcome, LmResult, ResidualModel};
-pub use multistart::{
-    multistart_fit, multistart_fit_report, EarlyStopPolicy, MultistartOptions, MultistartReport,
-};
-pub use scaling::{fit_scaling, ScalingCurve, ScalingFit, ScalingFitOptions};
+pub use scaling::{exponent_grid, fit_scaling, ScalingCurve, ScalingFit, ScalingFitOptions};

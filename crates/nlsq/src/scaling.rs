@@ -1,8 +1,8 @@
 //! The paper's performance model `T(n) = a/n + b·n^c + d` and its fit.
 
-use crate::lm::{LmOptions, ResidualModel};
-use crate::multistart::{multistart_fit_report, EarlyStopPolicy, MultistartOptions};
-use hslb_numerics::{stats, Matrix};
+use hslb_numerics::float::cmp_f64;
+use hslb_numerics::stats;
+use std::cmp::Ordering;
 
 /// A fitted performance curve `T(n) = a/n + b·n^c + d`.
 ///
@@ -61,16 +61,14 @@ pub struct ScalingFit {
     pub sse: f64,
     /// Number of data points used (0 for synthetic fits).
     pub points: usize,
-    /// Total Levenberg–Marquardt iterations across all multistart runs.
+    /// Profile evaluations: exponents `c` at which the projected
+    /// least-squares problem over `(a, b, d)` was solved (0 for synthetic
+    /// fits). The field keeps its historical name, from when the fit ran
+    /// Levenberg–Marquardt iterations.
     pub lm_iterations: usize,
-    /// Starts that converged into the winning basin (see
-    /// [`crate::MultistartReport::basin_hits`]).
-    pub basin_hits: usize,
-    /// Starts actually run (< the configured count when the early-stop
-    /// policy fired; 0 for synthetic fits).
+    /// Fits run: 1 for a measured fit, 0 for a synthetic one. The fit is
+    /// exact and deterministic, so there is nothing to restart.
     pub starts_run: usize,
-    /// Did the multistart early-stop policy cut the run short?
-    pub early_stopped: bool,
     /// True when the curve was injected rather than fitted — the
     /// degraded-accuracy path downstream must not mistake it for a
     /// measured fit.
@@ -89,9 +87,7 @@ impl ScalingFit {
             sse: f64::NAN,
             points: 0,
             lm_iterations: 0,
-            basin_hits: 0,
             starts_run: 0,
-            early_stopped: false,
             synthetic: true,
         }
     }
@@ -103,85 +99,230 @@ pub struct ScalingFitOptions {
     /// Bounds on the exponent `c`. The default `[1, 3]` keeps every fitted
     /// curve convex (see [`ScalingCurve::is_convex`]); widen the lower
     /// bound below 1 only if the consumer can handle nonconvex curves.
+    /// Equal bounds pin the exponent: the fit is then the exact
+    /// box-constrained linear least squares over `(a, b, d)` at that `c`.
     pub c_bounds: (f64, f64),
-    /// Number of multistart points.
-    pub starts: usize,
-    /// Seed for start generation.
-    pub seed: u64,
-    /// Threads for the multistart (1 = serial).
-    pub threads: usize,
-    /// Early-stop policy for the multistart (§III-C fast path). `None`
-    /// runs every start; the default policy stops once consecutive starts
-    /// confirm the incumbent basin. The fitted curve is bit-identical
-    /// either way — asserted by the `fast_path` integration tests.
-    pub early_stop: Option<EarlyStopPolicy>,
-    /// Warm-start parameters `[a, b, c, d]` from a previous fit of the
-    /// same component. When set, they replace the heuristic initial guess
-    /// as start 0 — near-converged warm starts let the early-stop policy
-    /// confirm the basin in a handful of LM iterations.
-    pub warm_start: Option<[f64; 4]>,
 }
 
 impl Default for ScalingFitOptions {
     fn default() -> Self {
         ScalingFitOptions {
             c_bounds: (1.0, 3.0),
-            starts: 24,
-            seed: 0x1234_5678,
-            threads: 1,
-            early_stop: None,
-            warm_start: None,
         }
     }
 }
 
-/// The least-squares problem of Table II line 10 as a [`ResidualModel`]:
-/// parameters `p = [a, b, c, d]`, residual `r_i = T(n_i) − y_i`.
-struct ScalingResiduals<'a> {
+/// Intervals of the outer search's uniform exponent grid.
+const GRID_INTERVALS: usize = 32;
+
+/// The exponents the outer search evaluates before refining: a uniform
+/// grid of `GRID_INTERVALS + 1` points over `c_bounds`, ascending (one
+/// point when the bounds are equal).
+pub fn exponent_grid(c_bounds: (f64, f64)) -> Vec<f64> {
+    let (lo, hi) = c_bounds;
+    if hi <= lo {
+        return vec![lo];
+    }
+    (0..=GRID_INTERVALS)
+        .map(|k| lo + (hi - lo) * k as f64 / GRID_INTERVALS as f64)
+        .collect()
+}
+
+/// The least-squares problem of Table II line 10 with the exponent
+/// projected out: for a fixed `c` the model is linear in
+/// `θ = (a, b, d)` over the columns `X = [1/n, n^c, 1]`, so the best `θ`
+/// in the box is found exactly.
+struct Profile<'a> {
     data: &'a [(f64, f64)],
-    c_bounds: (f64, f64),
-    /// Scale cap for a/b/d derived from the data, to keep starts sane.
-    y_max: f64,
-    n_max: f64,
+    /// Upper caps on `(a, b, d)`. `a` is the single-node work, bounded
+    /// by `y_max·n_max` (time at the smallest measured node count scaled
+    /// up) with a 10× margin; `b` and `d` by the largest time.
+    upper: [f64; 3],
+    /// The `c`-independent Gram entries `Σ1/n², Σ1/n, m` and moments
+    /// `Σy/n, Σy`.
+    inv_n_sq: f64,
+    inv_n: f64,
+    count: f64,
+    y_inv_n: f64,
+    y_sum: f64,
+    /// Scratch column `n_i^c`.
+    nc: Vec<f64>,
+    /// Profile evaluations so far.
+    evaluations: usize,
 }
 
-impl ResidualModel for ScalingResiduals<'_> {
-    fn num_params(&self) -> usize {
-        4
-    }
-    fn num_residuals(&self) -> usize {
-        self.data.len()
-    }
-    fn residuals(&self, p: &[f64], out: &mut [f64]) {
-        let [a, b, c, d] = [p[0], p[1], p[2], p[3]];
-        for (i, &(n, y)) in self.data.iter().enumerate() {
-            out[i] = a / n + b * n.powf(c) + d - y;
+/// One solution of the projected problem: `θ = (a, b, d)` and its SSE.
+#[derive(Debug, Clone, Copy)]
+struct Projection {
+    c: f64,
+    theta: [f64; 3],
+    sse: f64,
+}
+
+impl Projection {
+    /// Lower SSE wins; equal SSE goes to the smaller exponent, so a
+    /// profile that is flat in `c` (the `b = 0` case) resolves to the
+    /// smallest `c` evaluated.
+    fn beats(&self, other: &Projection) -> bool {
+        match cmp_f64(self.sse, other.sse) {
+            Ordering::Less => true,
+            Ordering::Equal => self.c < other.c,
+            Ordering::Greater => false,
         }
     }
-    fn jacobian(&self, p: &[f64], jac: &mut Matrix) {
-        let [_, b, c, _] = [p[0], p[1], p[2], p[3]];
-        for (i, &(n, _)) in self.data.iter().enumerate() {
-            let nc = n.powf(c);
-            jac[(i, 0)] = 1.0 / n; // ∂r/∂a
-            jac[(i, 1)] = nc; // ∂r/∂b
-            jac[(i, 2)] = b * nc * n.ln(); // ∂r/∂c
-            jac[(i, 3)] = 1.0; // ∂r/∂d
+}
+
+impl<'a> Profile<'a> {
+    fn new(data: &'a [(f64, f64)]) -> Self {
+        let y_max = data.iter().map(|&(_, y)| y).fold(0.0_f64, f64::max);
+        let n_max = data.iter().map(|&(n, _)| n).fold(0.0_f64, f64::max);
+        let sum = |f: &dyn Fn(f64, f64) -> f64| data.iter().map(|&(n, y)| f(n, y)).sum::<f64>();
+        Profile {
+            data,
+            upper: [y_max * n_max * 10.0, y_max, y_max],
+            inv_n_sq: sum(&|n, _| 1.0 / (n * n)),
+            inv_n: sum(&|n, _| 1.0 / n),
+            count: data.len() as f64,
+            y_inv_n: sum(&|n, y| y / n),
+            y_sum: sum(&|_, y| y),
+            nc: Vec::with_capacity(data.len()),
+            evaluations: 0,
         }
     }
-    fn lower_bounds(&self) -> Vec<f64> {
-        vec![0.0, 0.0, self.c_bounds.0, 0.0]
+
+    /// Solve `min ‖y − Xθ‖²` over the box at exponent `c`.
+    ///
+    /// The box-constrained problem is a convex QP, so its optimum puts
+    /// each variable at its lower bound, free, or at its upper bound,
+    /// with the free ones solving the reduced normal equations. All 27
+    /// assignments are enumerated and the feasible one with the least
+    /// SSE kept. The normal equations come from one Gram pass over
+    /// columns scaled to unit norm, because `n^c` reaches ~1e13 while
+    /// `1/n` is below 1.
+    fn project(&mut self, c: f64) -> Projection {
+        self.evaluations += 1;
+        self.nc.clear();
+        self.nc.extend(self.data.iter().map(|&(n, _)| n.powf(c)));
+        let (mut nc_sq, mut nc_inv_n, mut nc_sum, mut nc_y) = (0.0, 0.0, 0.0, 0.0);
+        for (&(n, y), &x) in self.data.iter().zip(&self.nc) {
+            nc_sq += x * x;
+            nc_inv_n += x / n;
+            nc_sum += x;
+            nc_y += x * y;
+        }
+        let raw = [
+            [self.inv_n_sq, nc_inv_n, self.inv_n],
+            [nc_inv_n, nc_sq, nc_sum],
+            [self.inv_n, nc_sum, self.count],
+        ];
+        let scale = [self.inv_n_sq.sqrt(), nc_sq.sqrt(), self.count.sqrt()];
+        let gram: [[f64; 3]; 3] =
+            std::array::from_fn(|j| std::array::from_fn(|k| raw[j][k] / (scale[j] * scale[k])));
+        let rhs = [
+            self.y_inv_n / scale[0],
+            nc_y / scale[1],
+            self.y_sum / scale[2],
+        ];
+        let upper: [f64; 3] = std::array::from_fn(|j| self.upper[j] * scale[j]);
+
+        let mut best: Option<Projection> = None;
+        for code in 0..27usize {
+            let state = [code % 3, code / 3 % 3, code / 9].map(|h| HOLDS[h]);
+            let Some(t) = solve_assignment(&gram, &rhs, &upper, state) else {
+                continue;
+            };
+            let theta: [f64; 3] = std::array::from_fn(|j| t[j] / scale[j]);
+            let [a, b, d] = theta;
+            let sse: f64 = self
+                .data
+                .iter()
+                .zip(&self.nc)
+                .map(|(&(n, y), &nc)| {
+                    let r = a / n + b * nc + d - y;
+                    r * r
+                })
+                .sum();
+            if best.is_none_or(|b| sse < b.sse) {
+                best = Some(Projection { c, theta, sse });
+            }
+        }
+        let Some(best) = best else {
+            unreachable!("the all-at-lower-bound assignment is always feasible");
+        };
+        best
     }
-    fn upper_bounds(&self) -> Vec<f64> {
-        // a is the single-node work: bounded by y_max·n_max (time at the
-        // smallest measured node count scaled up). b is bounded by the
-        // largest time divided by the smallest n^c it could multiply.
-        vec![
-            self.y_max * self.n_max * 10.0,
-            self.y_max,
-            self.c_bounds.1,
-            self.y_max,
-        ]
+}
+
+/// Where a bound assignment holds one of `(a, b, d)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Hold {
+    /// At its lower bound, 0.
+    Lower,
+    /// Free: solved from the reduced normal equations.
+    Free,
+    /// At its upper cap.
+    Upper,
+}
+
+const HOLDS: [Hold; 3] = [Hold::Lower, Hold::Free, Hold::Upper];
+
+/// The scaled parameters of one bound assignment, with the free ones
+/// solving the reduced normal equations by Cholesky. `None` when the
+/// reduced matrix is (numerically) singular or a free value leaves the
+/// box.
+fn solve_assignment(
+    gram: &[[f64; 3]; 3],
+    rhs: &[f64; 3],
+    upper: &[f64; 3],
+    state: [Hold; 3],
+) -> Option<[f64; 3]> {
+    // The scaled Gram has a unit diagonal, so the pivot floor is absolute.
+    const PIVOT_FLOOR: f64 = 1e-13;
+    let mut t: [f64; 3] = std::array::from_fn(|j| {
+        if state[j] == Hold::Upper {
+            upper[j]
+        } else {
+            0.0
+        }
+    });
+    let mut free = [0usize; 3];
+    let mut k = 0;
+    for (j, &hold) in state.iter().enumerate() {
+        if hold == Hold::Free {
+            free[k] = j;
+            k += 1;
+        }
     }
+    let free = &free[..k];
+    // Forward pass: factor G_FF = L·Lᵀ row by row and solve L·z = b.
+    let mut l = [[0.0; 3]; 3];
+    let mut z = [0.0; 3];
+    for i in 0..k {
+        for j in 0..=i {
+            let s = gram[free[i]][free[j]] - (0..j).map(|p| l[i][p] * l[j][p]).sum::<f64>();
+            if i == j {
+                if s <= PIVOT_FLOOR {
+                    return None;
+                }
+                l[i][i] = s.sqrt();
+            } else {
+                l[i][j] = s / l[j][j];
+            }
+        }
+        let b = rhs[free[i]] - (0..3).map(|q| gram[free[i]][q] * t[q]).sum::<f64>();
+        z[i] = (b - (0..i).map(|p| l[i][p] * z[p]).sum::<f64>()) / l[i][i];
+    }
+    // Back substitution: Lᵀ·θ_F = z.
+    for i in (0..k).rev() {
+        z[i] = (z[i] - (i + 1..k).map(|p| l[p][i] * z[p]).sum::<f64>()) / l[i][i];
+    }
+    for (i, &j) in free.iter().enumerate() {
+        if !(0.0..=upper[j]).contains(&z[i]) {
+            return None;
+        }
+        t[j] = z[i];
+    }
+    Some(t)
 }
 
 /// Errors from [`fit_scaling`].
@@ -202,6 +343,14 @@ impl std::fmt::Display for FitError {
 impl std::error::Error for FitError {}
 
 /// Fit the paper's performance model to `(nodes, seconds)` observations.
+///
+/// The fit is variable projection (Golub & Pereyra, SIAM J. Numer.
+/// Anal. 10(2), 1973): for each exponent `c` the box-constrained linear
+/// least squares over `(a, b, d)` is solved exactly, and the projected
+/// SSE is minimized over `c ∈ c_bounds` by a uniform grid
+/// ([`exponent_grid`]) followed by golden-section refinement in the
+/// bracket around the best grid point. The result is deterministic, and
+/// its SSE is never above the projected SSE at any grid exponent.
 ///
 /// The paper recommends at least four points spanning the smallest
 /// memory-feasible and the largest available node counts (§III-C); with
@@ -234,74 +383,58 @@ pub fn fit_scaling(data: &[(f64, f64)], opts: &ScalingFitOptions) -> Result<Scal
             "node counts must be ≥ 1 and times positive",
         ));
     }
-    let y_max = data.iter().map(|&(_, y)| y).fold(0.0_f64, f64::max);
-    let n_max = data.iter().map(|&(n, _)| n).fold(0.0_f64, f64::max);
-    let model = ScalingResiduals {
-        data,
-        c_bounds: opts.c_bounds,
-        y_max,
-        n_max,
-    };
+    let mut profile = Profile::new(data);
 
-    // Physically-motivated initial guess: all work scalable (a ≈ y·n at
-    // the smallest point), small serial floor at the largest point.
-    // `data` was validated non-empty at the top of the fit.
-    #[allow(clippy::expect_used)]
-    let (n_min_pt, y_at_nmin) = data
-        .iter()
-        .copied()
-        .min_by(|a, b| hslb_numerics::float::cmp_f64(a.0, b.0))
-        .expect("nonempty");
-    #[allow(clippy::expect_used)]
-    let y_at_nmax = data
-        .iter()
-        .copied()
-        .max_by(|a, b| hslb_numerics::float::cmp_f64(a.0, b.0))
-        .expect("nonempty")
-        .1;
-    let p0 = match opts.warm_start {
-        // A previous fit of the same component seeds start 0; the jittered
-        // starts 1..N are generated from the box alone, so they are
-        // unchanged and the basin scan still probes the space.
-        Some(w) => w.to_vec(),
-        None => vec![
-            (y_at_nmin - y_at_nmax).max(y_at_nmin * 0.5) * n_min_pt,
-            0.0,
-            opts.c_bounds.0,
-            (y_at_nmax * 0.5).max(1e-6),
-        ],
+    let grid = exponent_grid(opts.c_bounds);
+    let mut best: Option<(usize, Projection)> = None;
+    for (k, &c) in grid.iter().enumerate() {
+        let p = profile.project(c);
+        if best.is_none_or(|(_, b)| p.beats(&b)) {
+            best = Some((k, p));
+        }
+    }
+    let Some((k, mut best)) = best else {
+        unreachable!("the exponent grid has at least one point");
     };
+    if grid.len() > 1 {
+        let lo = grid[k.saturating_sub(1)];
+        let hi = grid[(k + 1).min(grid.len() - 1)];
+        hslb_numerics::scalar::golden_section(
+            |c| {
+                let p = profile.project(c);
+                if p.beats(&best) {
+                    best = p;
+                }
+                p.sse
+            },
+            lo,
+            hi,
+            REFINE_TOL,
+            REFINE_MAX_ITER,
+        );
+    }
 
-    let ms = MultistartOptions {
-        starts: opts.starts,
-        seed: opts.seed,
-        threads: opts.threads,
-        early_stop: opts.early_stop,
-        lm: LmOptions::default(),
-    };
-    let (res, report) = multistart_fit_report(&model, &p0, &ms);
-
-    let curve = ScalingCurve {
-        a: res.params[0],
-        b: res.params[1],
-        c: res.params[2],
-        d: res.params[3],
-    };
+    let [a, b, d] = best.theta;
+    let curve = ScalingCurve { a, b, c: best.c, d };
     let observed: Vec<f64> = data.iter().map(|&(_, y)| y).collect();
     let predicted: Vec<f64> = data.iter().map(|&(n, _)| curve.eval(n)).collect();
     Ok(ScalingFit {
         curve,
         r_squared: stats::r_squared(&observed, &predicted).unwrap_or(f64::NAN),
         rmse: stats::rmse(&observed, &predicted).unwrap_or(f64::NAN),
-        sse: res.cost,
+        sse: best.sse,
         points: data.len(),
-        lm_iterations: report.total_iterations,
-        basin_hits: report.basin_hits,
-        starts_run: report.starts,
-        early_stopped: report.early_stopped,
+        lm_iterations: profile.evaluations,
+        starts_run: 1,
         synthetic: false,
     })
 }
+
+/// Absolute tolerance on `c` of the golden-section refinement.
+const REFINE_TOL: f64 = 1e-9;
+/// Iteration cap of the refinement; the tolerance stops it first (a
+/// grid bracket of width 0.125 shrinks below it in ~39 steps).
+const REFINE_MAX_ITER: usize = 100;
 
 #[cfg(test)]
 mod tests {
@@ -345,6 +478,50 @@ mod tests {
         let fit = fit_scaling(&data, &ScalingFitOptions::default()).unwrap();
         assert!(fit.curve.is_convex());
         assert!(fit.curve.c >= 1.0);
+    }
+
+    #[test]
+    fn pinned_exponent_recovers_the_linear_coefficients() {
+        // With c pinned the fit is plain linear least squares over
+        // (a, b, d), solved exactly: noiseless data gives them back.
+        let truth = ScalingCurve {
+            a: 500.0,
+            b: 0.02,
+            c: 1.4,
+            d: 7.0,
+        };
+        let data = synth(truth, &[2.0, 17.0, 64.0, 333.0, 2048.0]);
+        let opts = ScalingFitOptions {
+            c_bounds: (1.4, 1.4),
+        };
+        let fit = fit_scaling(&data, &opts).unwrap();
+        assert_eq!(fit.curve.c, 1.4);
+        assert_eq!(fit.lm_iterations, 1);
+        for (got, want) in [
+            (fit.curve.a, 500.0),
+            (fit.curve.b, 0.02),
+            (fit.curve.d, 7.0),
+        ] {
+            assert!((got - want).abs() <= 1e-8 * want, "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn flat_profile_ties_resolve_to_the_smallest_exponent() {
+        // b = 0 fits this data at every c, so the projected SSE is flat
+        // in c; the tie goes to the lower bound.
+        let truth = ScalingCurve {
+            a: 1000.0,
+            b: 0.0,
+            c: 2.0,
+            d: 3.0,
+        };
+        let data = synth(truth, &[4.0, 8.0, 32.0, 100.0]);
+        for c_bounds in [(1.0, 3.0), (1.5, 2.5)] {
+            let fit = fit_scaling(&data, &ScalingFitOptions { c_bounds }).unwrap();
+            assert_eq!(fit.curve.b, 0.0);
+            assert_eq!(fit.curve.c, c_bounds.0);
+        }
     }
 
     #[test]

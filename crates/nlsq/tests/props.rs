@@ -1,6 +1,6 @@
 //! Property tests for the scaling-curve fit.
 
-use hslb_nlsq::{fit_scaling, EarlyStopPolicy, ScalingCurve, ScalingFitOptions};
+use hslb_nlsq::{exponent_grid, fit_scaling, ScalingCurve, ScalingFitOptions};
 use proptest::prelude::*;
 
 fn arb_curve() -> impl Strategy<Value = ScalingCurve> {
@@ -59,43 +59,65 @@ proptest! {
         prop_assert!(fit.curve.eval(n) >= 0.0);
     }
 
-    /// The fit fast-path invariant: for random scaling data, early-stop
-    /// on/off and threads ∈ {1, 4} all yield identical `ScalingCurve`
-    /// bits, `starts_run` equals the starts actually run, and
-    /// `basin_hits ≤ starts_run`.
+    /// Every parameter lies in the fit's box: non-negative `(a, b, d)`
+    /// under their data-derived caps, and `c` inside its bounds — also
+    /// when the bounds are narrowed or pinned.
     #[test]
-    fn early_stop_is_bit_identical_at_any_thread_count(
+    fn parameters_lie_in_the_box(
         truth in arb_curve(),
-        jitter in prop::collection::vec(0.97f64..1.03, 6),
+        jitter in prop::collection::vec(0.9f64..1.1, 6),
+        lo in 1.0f64..2.5,
+        width in 0.0f64..1.0,
     ) {
-        let ns = [8.0, 24.0, 96.0, 384.0, 1024.0, 4096.0];
-        let data: Vec<(f64, f64)> = ns
-            .iter()
-            .zip(&jitter)
-            .map(|(&n, &j)| (n, truth.eval(n) * j))
-            .collect();
-        let base = ScalingFitOptions { starts: 12, ..Default::default() };
-        let reference = fit_scaling(&data, &base).unwrap();
-        prop_assert!(!reference.early_stopped);
-        prop_assert_eq!(reference.starts_run, base.starts);
-        for threads in [1usize, 4] {
-            for early_stop in [None, Some(EarlyStopPolicy::default())] {
-                let opts = ScalingFitOptions { threads, early_stop, ..base.clone() };
-                let fit = fit_scaling(&data, &opts).unwrap();
-                prop_assert_eq!(
-                    fit.curve.a.to_bits(), reference.curve.a.to_bits(),
-                    "a diverged (threads={}, early_stop={})", threads, early_stop.is_some()
-                );
-                prop_assert_eq!(fit.curve.b.to_bits(), reference.curve.b.to_bits());
-                prop_assert_eq!(fit.curve.c.to_bits(), reference.curve.c.to_bits());
-                prop_assert_eq!(fit.curve.d.to_bits(), reference.curve.d.to_bits());
-                prop_assert!(fit.starts_run <= base.starts);
-                prop_assert!(fit.basin_hits <= fit.starts_run);
-                if early_stop.is_none() {
-                    prop_assert!(!fit.early_stopped, "early-stop fired while disabled");
-                    prop_assert_eq!(fit.starts_run, base.starts);
-                }
-            }
+        let data = jittered(truth, &jitter);
+        let c_bounds = (lo, lo + width);
+        let fit = fit_scaling(&data, &ScalingFitOptions { c_bounds }).unwrap();
+        let y_max = data.iter().map(|&(_, y)| y).fold(0.0, f64::max);
+        let n_max = data.iter().map(|&(n, _)| n).fold(0.0, f64::max);
+        let k = fit.curve;
+        prop_assert!((0.0..=10.0 * y_max * n_max).contains(&k.a), "a = {}", k.a);
+        prop_assert!((0.0..=y_max).contains(&k.b), "b = {}", k.b);
+        prop_assert!((0.0..=y_max).contains(&k.d), "d = {}", k.d);
+        prop_assert!(k.c >= c_bounds.0 && k.c <= c_bounds.1, "c = {}", k.c);
+    }
+
+    /// The fit is a pure function of its data: a repeated fit returns
+    /// the same bits.
+    #[test]
+    fn fit_is_deterministic(truth in arb_curve(), jitter in prop::collection::vec(0.9f64..1.1, 6)) {
+        let data = jittered(truth, &jitter);
+        let first = fit_scaling(&data, &ScalingFitOptions::default()).unwrap();
+        let again = fit_scaling(&data, &ScalingFitOptions::default()).unwrap();
+        let bits = |k: ScalingCurve| [k.a, k.b, k.c, k.d].map(f64::to_bits);
+        prop_assert_eq!(bits(first.curve), bits(again.curve));
+        prop_assert_eq!(first.sse.to_bits(), again.sse.to_bits());
+        prop_assert_eq!(first.lm_iterations, again.lm_iterations);
+        prop_assert_eq!(first.starts_run, 1);
+    }
+
+    /// The outer search never ends above a point it evaluated: the fit's
+    /// SSE is at most the projected SSE at every grid exponent (the fit
+    /// with `c` pinned there).
+    #[test]
+    fn sse_is_at_most_the_projected_sse_at_every_grid_exponent(
+        truth in arb_curve(),
+        jitter in prop::collection::vec(0.9f64..1.1, 6),
+    ) {
+        let data = jittered(truth, &jitter);
+        let opts = ScalingFitOptions::default();
+        let fit = fit_scaling(&data, &opts).unwrap();
+        for c in exponent_grid(opts.c_bounds) {
+            let pinned = fit_scaling(&data, &ScalingFitOptions { c_bounds: (c, c) }).unwrap();
+            prop_assert_eq!(pinned.curve.c, c);
+            prop_assert!(fit.sse <= pinned.sse, "c = {}: {} > {}", c, fit.sse, pinned.sse);
         }
     }
+}
+
+fn jittered(truth: ScalingCurve, jitter: &[f64]) -> Vec<(f64, f64)> {
+    [8.0, 24.0, 96.0, 384.0, 1024.0, 4096.0]
+        .iter()
+        .zip(jitter)
+        .map(|(&n, &j)| (n, truth.eval(n) * j))
+        .collect()
 }

@@ -55,11 +55,7 @@
 //! payload is bit-identical to running the one-shot pipeline for that
 //! request alone ([`service::reference_response`]). The queue, the
 //! coalescer and both cache tiers are passive layers, like the telemetry
-//! and audit layers before them. The one opt-in exception is
-//! [`service::CachePolicy::warm_neighbors`], which seeds fits from a
-//! neighboring scenario's curves — same-basin (≤1e-4 relative), not
-//! bit-identical — and is therefore off by default and excluded from the
-//! bit-identity gate.
+//! and audit layers before them.
 
 pub mod cache;
 pub mod drift;

@@ -94,18 +94,6 @@ impl TuneRequest {
         )
     }
 
-    /// Warm-start scope: requests for the same machine configuration are
-    /// "neighboring scenarios" whose fits may seed each other when
-    /// [`crate::service::CachePolicy::warm_neighbors`] is opted into.
-    pub fn warm_scope(&self) -> String {
-        format!(
-            "{}|ocean{}|seed{}",
-            resolution_token(self.resolution),
-            self.ocean_constrained,
-            self.seed
-        )
-    }
-
     /// JSON object for the wire protocol (without the `op` field).
     pub fn to_value(&self) -> Value {
         let mut kv = vec![

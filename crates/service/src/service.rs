@@ -6,8 +6,7 @@
 //! baseline — fresh simulator, fresh options, no caches. Every response
 //! the service produces must carry a payload bit-identical to that
 //! baseline for the same request, at any worker/shard count, with any
-//! [`CachePolicy`] short of the opt-in `warm_neighbors`, and under any
-//! [`ServiceFaultSpec`] — faults may turn a response into an explicit
+//! [`CachePolicy`], and under any [`ServiceFaultSpec`] — faults may turn a response into an explicit
 //! typed error, never into different bytes. The pieces keep that bar
 //! individually:
 //!
@@ -34,7 +33,7 @@ use crate::queue::{AdmissionQueue, Backpressure, PushError, Rank};
 use crate::ranked::{rank, RankedCondvar, RankedMutex};
 use crate::request::{resolution_token, CacheTier, TunePayload, TuneRequest, TuneResponse};
 use crate::snapshot::{self, RecoveryRecord, SnapshotPolicy, SnapshotStats};
-use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions, WarmStartCache};
+use hslb::{BenchmarkData, FitSet, GatherPlan, Hslb, HslbOptions};
 use hslb_cesm::layout::ComponentTimes;
 use hslb_cesm::{
     Allocation, Component, Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator,
@@ -55,11 +54,6 @@ pub struct CachePolicy {
     pub exact: bool,
     /// Fit-level artifact cache (gathered data + fitted curves).
     pub fit: bool,
-    /// Seed cache-miss fits from a neighboring scenario's curves via the
-    /// shared [`WarmStartCache`]. **Opt-in and off by default**: warm
-    /// starts are same-basin (≤ 1e-4 relative), not bit-identical, so
-    /// this is the one knob excluded from the bit-identity gate.
-    pub warm_neighbors: bool,
 }
 
 impl Default for CachePolicy {
@@ -67,7 +61,6 @@ impl Default for CachePolicy {
         CachePolicy {
             exact: true,
             fit: true,
-            warm_neighbors: false,
         }
     }
 }
@@ -78,7 +71,6 @@ impl CachePolicy {
         CachePolicy {
             exact: false,
             fit: false,
-            warm_neighbors: false,
         }
     }
 }
@@ -122,9 +114,6 @@ pub struct ServiceOptions {
     pub exact_capacity: usize,
     /// Fit-tier entries kept (LRU beyond this).
     pub fit_capacity: usize,
-    /// Warm-start entries kept per the shared cache (only used with
-    /// `cache.warm_neighbors`).
-    pub warm_capacity: usize,
     pub supervise: SupervisePolicy,
     /// Deterministic service-fault injection (chaos testing; defaults to
     /// no faults).
@@ -145,7 +134,6 @@ impl Default for ServiceOptions {
             cache: CachePolicy::default(),
             exact_capacity: 256,
             fit_capacity: 64,
-            warm_capacity: 64,
             supervise: SupervisePolicy::default(),
             faults: ServiceFaultSpec::none(),
             snapshot: None,
@@ -366,7 +354,6 @@ struct Shared {
     /// Simulators are stateless and deterministic; one per machine
     /// configuration, cloned out per attempt (clones are exact).
     sims: RankedMutex<HashMap<(&'static str, bool, u64), Simulator>, { rank::SIM_CACHE }>,
-    warm: WarmStartCache,
     policy: CachePolicy,
     coalesce: bool,
     supervise: SupervisePolicy,
@@ -570,7 +557,6 @@ impl TuningService {
                 0
             })),
             sims: RankedMutex::new(HashMap::new()),
-            warm: WarmStartCache::with_capacity(opts.warm_capacity),
             policy: opts.cache,
             coalesce: opts.coalesce,
             supervise: opts.supervise,
@@ -773,8 +759,8 @@ impl TuningService {
     }
 
     /// Feed one observed timing sample for a deployed scenario into the
-    /// drift detector; when it triggers, re-fit (warm-started from the
-    /// cached fit artifacts), re-solve, and report migration cost vs
+    /// drift detector; when it triggers, re-fit the cached gather data
+    /// scaled by the drift, re-solve, and report migration cost vs
     /// makespan gain. **Advisory**: the serving caches are never touched,
     /// so observing samples cannot change any tune response.
     pub fn observe_timing(
@@ -1313,9 +1299,6 @@ fn compute(shared: &Shared, request: &TuneRequest) -> Result<(TunePayload, Cache
             (report, CacheTier::Fit)
         }
         None => {
-            if shared.policy.warm_neighbors {
-                opts.warm_cache = Some(shared.warm.scoped(&request.warm_scope()));
-            }
             let (report, artifacts) = Hslb::new(&sim, opts)
                 .run_with_artifacts(None)
                 .map_err(|e| e.to_string())?;
@@ -1345,11 +1328,11 @@ fn allocation_of(a: &Allocation, c: Component) -> i64 {
 }
 
 /// Re-fit + re-solve for a drift trigger: scale the cached gather data
-/// by the observed per-component drift ratios, warm-start the re-fit
-/// from the cached curves ([`hslb::rebalance`]), and weigh the re-solved
-/// allocation's makespan gain against its migration cost. Returns `None`
-/// when no fit artifacts are cached for the scenario (nothing to
-/// warm-start from — the trigger is still counted by the detector).
+/// by the observed per-component drift ratios, re-fit and re-solve it
+/// ([`hslb::rebalance`]), and weigh the re-solved allocation's makespan
+/// gain against its migration cost. Returns `None` when no fit artifacts
+/// are cached for the scenario (no gathered data to scale — the trigger
+/// is still counted by the detector).
 fn run_rebalance(
     shared: &Shared,
     request: &TuneRequest,
@@ -1379,7 +1362,7 @@ fn run_rebalance(
         .cached(&key)
         .filter(SealedPayload::verified)
         .map(|sealed| sealed.payload.allocation);
-    match hslb::rebalance(&sim, opts, scaled, &prior) {
+    match hslb::rebalance(&sim, opts, scaled) {
         Ok((report, artifacts)) => {
             let payload = TunePayload::from_report(&report);
             let new_fits = artifacts.fits.unwrap_or(prior);
@@ -1462,7 +1445,7 @@ fn simulator_for(request: &TuneRequest) -> Simulator {
 }
 
 /// The determinism baseline: run the one-shot pipeline for this request
-/// alone — fresh simulator, no caches, no warm starts — and project the
+/// alone — fresh simulator, no caches — and project the
 /// payload. Every service response must be bit-identical to this.
 pub fn reference_response(request: &TuneRequest) -> Result<TunePayload, String> {
     let sim = simulator_for(request);

@@ -21,6 +21,14 @@
 //!    `null`), and is rebuilt through [`FitSet::from_fits`]'s
 //!    completeness check.
 //!
+//! A snapshot of the previous schema ([`LEGACY_SNAPSHOT_SCHEMA`]) was
+//! written while fits ran a multistart Levenberg–Marquardt solver, so
+//! its curves (and every payload solved from them) differ from what the
+//! exact fit computes today. It restores its gathered data, re-fitted on
+//! load, and drops its exact-tier payloads, which are recomputed on
+//! demand; either way what is served stays bit-identical to
+//! `reference_response`.
+//!
 //! Anything that fails any layer is dropped and noted in the
 //! [`RecoveryRecord`]; a totally unusable snapshot degrades to a clean
 //! cold start with the reason recorded — mirroring the pipeline's
@@ -30,7 +38,7 @@
 use crate::request::TunePayload;
 use hslb::{BenchmarkData, FitSet};
 use hslb_cesm::Component;
-use hslb_nlsq::{ScalingCurve, ScalingFit};
+use hslb_nlsq::{ScalingCurve, ScalingFit, ScalingFitOptions};
 use hslb_telemetry::codec;
 use hslb_telemetry::json::{parse, Value};
 use std::collections::BTreeMap;
@@ -38,7 +46,12 @@ use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema tag of the snapshot document.
-pub const SNAPSHOT_SCHEMA: &str = "hslb-cache-snapshot/v1";
+pub const SNAPSHOT_SCHEMA: &str = "hslb-cache-snapshot/v2";
+
+/// Schema tag of snapshots written while fits ran a multistart solver
+/// (their fit records also carry `basin_hits` and `early_stopped`).
+/// Restored with their data re-fitted and their exact tier dropped.
+pub const LEGACY_SNAPSHOT_SCHEMA: &str = "hslb-cache-snapshot/v1";
 
 /// When and where the service flushes cache snapshots.
 #[derive(Debug, Clone)]
@@ -161,9 +174,7 @@ fn fit_to_value(fit: &ScalingFit) -> Value {
             "lm_iterations".to_string(),
             Value::Num(fit.lm_iterations as f64),
         ),
-        ("basin_hits".to_string(), Value::Num(fit.basin_hits as f64)),
         ("starts_run".to_string(), Value::Num(fit.starts_run as f64)),
-        ("early_stopped".to_string(), Value::Bool(fit.early_stopped)),
         ("synthetic".to_string(), Value::Bool(fit.synthetic)),
     ])
 }
@@ -198,9 +209,7 @@ fn fit_from_value(v: &Value) -> Result<ScalingFit, String> {
         sse: f("sse")?,
         points: usize_of("points")?,
         lm_iterations: usize_of("lm_iterations")?,
-        basin_hits: usize_of("basin_hits")?,
         starts_run: usize_of("starts_run")?,
-        early_stopped: bool_of("early_stopped")?,
         synthetic: bool_of("synthetic")?,
     })
 }
@@ -353,7 +362,10 @@ fn restore_exact(entries: &[Value], out: &mut RestoredSnapshot) {
     }
 }
 
-fn restore_fits(entries: &[Value], out: &mut RestoredSnapshot) {
+/// Restore the fit tier. With `refit`, each entry's gathered data is
+/// fitted afresh (with the service's fit options) and its stored curves
+/// are ignored.
+fn restore_fits(entries: &[Value], refit: bool, out: &mut RestoredSnapshot) {
     for (i, entry) in entries.iter().enumerate() {
         let restored = (|| -> Result<(String, (BenchmarkData, FitSet)), String> {
             let key = entry
@@ -361,6 +373,11 @@ fn restore_fits(entries: &[Value], out: &mut RestoredSnapshot) {
                 .and_then(Value::as_str)
                 .ok_or("missing key")?;
             let data = data_from_value(entry.get("data").ok_or("missing data")?)?;
+            if refit {
+                let fitset = hslb::fit_all(&data, &ScalingFitOptions::default())
+                    .map_err(|e| e.to_string())?;
+                return Ok((key.to_string(), (data, fitset)));
+            }
             let Some(Value::Obj(fit_kv)) = entry.get("fits") else {
                 return Err("missing fits".to_string());
             };
@@ -418,8 +435,9 @@ pub fn load_snapshot(path: &Path) -> RestoredSnapshot {
             return out;
         }
     };
-    match doc.get("schema").and_then(Value::as_str) {
-        Some(SNAPSHOT_SCHEMA) => {}
+    let legacy = match doc.get("schema").and_then(Value::as_str) {
+        Some(SNAPSHOT_SCHEMA) => false,
+        Some(LEGACY_SNAPSHOT_SCHEMA) => true,
         other => {
             out.record.cold_start = true;
             out.record.fallbacks.push(format!(
@@ -428,12 +446,19 @@ pub fn load_snapshot(path: &Path) -> RestoredSnapshot {
             out.record.load_ms = started.elapsed().as_secs_f64() * 1e3;
             return out;
         }
-    }
+    };
     if let Some(entries) = doc.get("exact").and_then(Value::as_arr) {
-        restore_exact(entries, &mut out);
+        if legacy {
+            out.record.fallbacks.push(format!(
+                "exact: {} entries solved from multistart fits, dropped",
+                entries.len()
+            ));
+        } else {
+            restore_exact(entries, &mut out);
+        }
     }
     if let Some(entries) = doc.get("fits").and_then(Value::as_arr) {
-        restore_fits(entries, &mut out);
+        restore_fits(entries, legacy, &mut out);
     }
     out.record.cold_start = out.record.restored_exact == 0 && out.record.restored_fits == 0;
     out.record.load_ms = started.elapsed().as_secs_f64() * 1e3;

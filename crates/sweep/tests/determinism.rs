@@ -11,7 +11,10 @@
 //! 3. **Fail-open**: a seeded bad predictor (the calibration-noise chaos
 //!    hook) must disable pruning entirely, never silently misprune.
 //! 4. **Pareto-frontier order independence** (proptest below).
+//! 5. **Fit signatures**: the signature leaves out layout and objective,
+//!    so the gathered timings and fitted curves must not depend on them.
 
+use hslb::{Hslb, HslbOptions, Objective};
 use hslb_service::request::TuneRequest;
 use hslb_service::sweep_driver::run_sweep;
 use hslb_service::{reference_response, CachePolicy, ServiceOptions, TuningService};
@@ -41,7 +44,6 @@ fn sweep_with(spec: &SweepSpec, workers: usize, caches: bool) -> Portfolio {
         cache: CachePolicy {
             exact: caches,
             fit: caches,
-            warm_neighbors: false,
         },
         ..ServiceOptions::default()
     });
@@ -182,6 +184,51 @@ fn predictor_never_prunes_the_true_winner_on_shipped_scenarios() {
             pruned.stats.solved + pruned.stats.pruned,
             "{name}: accounting broken"
         );
+    }
+}
+
+#[test]
+fn gathered_timings_do_not_depend_on_layout_or_objective() {
+    // The service gathers over the whole machine, so a configuration's
+    // gather and fit read only its resolution, ocean constraint and seed
+    // (the fit signature), never its layout, objective or budget.
+    for (sim, budget) in [
+        (hslb_cesm::Simulator::one_degree(42), 128),
+        (hslb_cesm::Simulator::eighth_degree(7), 8192),
+    ] {
+        let mut reference: Option<Vec<(f64, f64)>> = None;
+        for layout in hslb_cesm::Layout::ALL {
+            for objective in [Objective::MinMax, Objective::SumTime, Objective::MaxMin] {
+                let mut opts = HslbOptions::new(budget);
+                opts.layout = layout;
+                opts.objective = objective;
+                opts.gather = hslb_service::request::service_gather_plan();
+                let h = Hslb::new(&sim, opts);
+                let data = h.gather_resilient().0;
+                let fits = h.fit(&data).unwrap();
+                let mut bits = Vec::new();
+                for c in hslb_cesm::Component::OPTIMIZED {
+                    bits.extend_from_slice(data.of(c));
+                    let k = fits.optimized_curve(c);
+                    bits.extend_from_slice(&[(k.a, k.b), (k.c, k.d)]);
+                }
+                match &reference {
+                    None => reference = Some(bits),
+                    Some(r) => {
+                        let to_bits = |v: &[(f64, f64)]| {
+                            v.iter()
+                                .map(|p| (p.0.to_bits(), p.1.to_bits()))
+                                .collect::<Vec<_>>()
+                        };
+                        assert_eq!(
+                            to_bits(r),
+                            to_bits(&bits),
+                            "{layout:?}/{objective:?} gathered or fitted differently"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -12,7 +12,7 @@
 //! The footer is deliberately line-oriented and human-readable:
 //!
 //! ```text
-//! {"schema":"hslb-cache-snapshot/v1", ...}
+//! {"schema":"hslb-cache-snapshot/v2", ...}
 //! #hslb-seal v1 len=1234 fnv=00a1b2c3d4e5f607
 //! ```
 //!

@@ -15,8 +15,7 @@
 # `audit-source`, a token-level scan (hand-rolled lexer, so comments and
 # strings neither create nor mask findings) of the workspace for
 # nondeterminism primitives, raw float equality, lock acquisitions inside
-# the multistart drain (or admission-queue shard) critical sections, and
-# telemetry reads from solver or service code. Level 3 — the same binary's
+# the admission-queue shard critical sections, and telemetry reads from solver or service code. Level 3 — the same binary's
 # concurrency audit: a cross-crate lock acquisition graph with cycle,
 # rank-lattice, and held-across-blocking-call checks, plus the zero-raw-
 # locks rule over crates/service/src (every lock there is a ranked
@@ -45,15 +44,14 @@
 # surviving injected panics, hangs, poisoned cache entries, and dropped/
 # truncated connections), kill -9s the server, restarts it from the same
 # snapshot, and re-runs the smoke mix — the restored cache must serve bit
-# for bit. Level 2 of the audit gate now carries seven rules, including
+# for bit. Level 2 of the audit gate carries six rules, including
 # no-unwrap-inside-catch_unwind on the supervised worker paths and the
 # hash-order rule (no HashMap/HashSet/pointer-identity iteration in the
 # simplex crate, whose pivot order must be reproducible).
 #
 # The warm-start gate (DESIGN.md §14) runs the bench smoke twice — warm
-# dual-simplex path on and off — validates both documents against the v8
-# schema (which checks the warm_start work counters and the solve ≤ fit
-# phase budget), and bit-compares the incumbents between the two runs:
+# dual-simplex path on and off — validates both documents against the v9
+# schema (which checks the warm_start work counters), and bit-compares the incumbents between the two runs:
 # warm starts may change how much work the solver does, never what it
 # returns.
 #
@@ -116,20 +114,14 @@ if [[ $fast -eq 0 ]]; then
 
     echo "==> bench-suite smoke + schema validation"
     smoke_out="$(mktemp /tmp/bench_smoke.XXXXXX.json)"
-    slow_out="$(mktemp /tmp/bench_smoke_full.XXXXXX.json)"
-    trap 'rm -f "$smoke_out" "$slow_out"' EXIT
+    trap 'rm -f "$smoke_out"' EXIT
     cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --out "$smoke_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$smoke_out"
-    # The same smoke run with the fit fast-path disabled: the validator
-    # checks starts_run ≤ starts per component and that early_stopped is
-    # false everywhere when the document says the policy was off.
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --no-early-stop --out "$slow_out"
-    cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$slow_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --validate BENCH_pipeline.json
 
     echo "==> warm-start gate (warm vs cold A/B, incumbents bit-compared)"
     cold_out="$(mktemp /tmp/bench_smoke_cold.XXXXXX.json)"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out"' EXIT
+    trap 'rm -f "$smoke_out" "$cold_out"' EXIT
     cargo run --release -q -p hslb-bench --bin bench-suite -- --smoke --no-warm-start --out "$cold_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --validate "$cold_out"
     cargo run --release -q -p hslb-bench --bin bench-suite -- --compare-incumbents "$smoke_out" "$cold_out"
@@ -138,7 +130,7 @@ if [[ $fast -eq 0 ]]; then
     port_file="$(mktemp /tmp/hslb_serve_port.XXXXXX)"
     load_out="$(mktemp /tmp/service_load.XXXXXX.json)"
     rm -f "$port_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out"' EXIT
+    trap 'rm -f "$smoke_out" "$cold_out" "$port_file" "$load_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$port_file" &
     serve_pid=$!
     for _ in $(seq 1 100); do
@@ -156,7 +148,7 @@ if [[ $fast -eq 0 ]]; then
     snapshot_file="$(mktemp /tmp/hslb_snapshot.XXXXXX.json)"
     chaos_out="$(mktemp /tmp/service_chaos.XXXXXX.json)"
     rm -f "$port_file" "$snapshot_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out"' EXIT
+    trap 'rm -f "$smoke_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$port_file" \
         --fault-seed 7 --fault-rate 0.3 --snapshot "$snapshot_file" &
     serve_pid=$!
@@ -196,7 +188,7 @@ if [[ $fast -eq 0 ]]; then
     soak_out="$(mktemp /tmp/service_soak.XXXXXX.json)"
     threads_log="$(mktemp /tmp/hslb_threads.XXXXXX)"
     rm -f "$port0_file" "$port1_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log"' EXIT
+    trap 'rm -f "$smoke_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --shard 0/2 --port-file "$port0_file" &
     shard0_pid=$!
     ./target/release/hslb-serve --addr 127.0.0.1:0 --shard 1/2 --port-file "$port1_file" &
@@ -247,7 +239,7 @@ if [[ $fast -eq 0 ]]; then
     sweep_port_file="$(mktemp /tmp/hslb_sweep_port.XXXXXX)"
     sweep_out="$(mktemp /tmp/sweep_portfolio.XXXXXX.json)"
     rm -f "$sweep_port_file"
-    trap 'rm -f "$smoke_out" "$slow_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log" "$sweep_port_file" "$sweep_out"' EXIT
+    trap 'rm -f "$smoke_out" "$cold_out" "$port_file" "$load_out" "$snapshot_file" "$chaos_out" "$port0_file" "$port1_file" "$ramp_out" "$soak_out" "$threads_log" "$sweep_port_file" "$sweep_out"' EXIT
     ./target/release/hslb-serve --addr 127.0.0.1:0 --port-file "$sweep_port_file" &
     sweep_serve_pid=$!
     for _ in $(seq 1 100); do
@@ -259,7 +251,7 @@ if [[ $fast -eq 0 ]]; then
     # server connection. --verify re-derives every solved entry with
     # reference_response and bit-compares fingerprints; the fit-cache bar
     # is what shared-work dedup buys (fits are budget-independent, so 32
-    # budgets reuse 6 fit signatures). Budgets stay inside the set where
+    # budgets reuse 2 fit signatures, one per resolution). Budgets stay inside the set where
     # every layout's ocean count is feasible (sequential rejects 1° >512
     # and 1/8° 9216/12288/14336/32768).
     ./target/release/hslb-sweep --addr "$(cat "$sweep_port_file")" \
