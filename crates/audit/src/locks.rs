@@ -9,11 +9,16 @@
 //!
 //! 1. **Lock-site discovery.** Every `.lock()` / `.try_lock()` (and
 //!    `.read()` / `.write()` on receivers declared as `RwLock`) in the
-//!    workspace becomes a node keyed `crate/receiver` — e.g. the
-//!    admission queue's shard mutex is `service/queue`. Receiver-field
-//!    naming is a repo convention the queue module already documents
-//!    ("no helper indirection"), which is what makes name-keyed nodes
-//!    sound here.
+//!    workspace becomes a node keyed `crate/Owner.field`, where Owner is
+//!    the struct declaring the lock field (or the fn declaring a lock
+//!    binding or parameter) — e.g. the admission queue's shard mutex is
+//!    `service/Shard.queue`. A site resolves to its owner through
+//!    `self.` inside that type's `impl`, else through the one
+//!    declaration of the field in the same file, else in the crate; two
+//!    candidate owners and no way to choose is a `lock-identity`
+//!    finding, so same-named fields never merge into one node. A
+//!    receiver with no lock declaration at all keeps the bare
+//!    `crate/receiver` key.
 //! 2. **Guard-lifetime tracking.** Within each `fn` body, guards are
 //!    tracked brace-scoped: a `let`-bound guard lives until its block
 //!    closes, an explicit `drop(guard)`, or a consuming
@@ -37,6 +42,8 @@
 //!      `JoinHandle::join()`, channel `recv`/`recv_timeout`, listener
 //!      `accept`, `TcpStream::connect`, stream/file `.read(`/`.write(`,
 //!      or a `Condvar` wait consuming a *different* guard.
+//!    * `lock-identity` — a lock site whose owner cannot be told apart
+//!      (see 1).
 //!    * `unranked-lock` — every lock primitive in `crates/service/src`
 //!      must be a ranked wrapper: raw `Mutex`/`RwLock`/`Condvar`
 //!      identifiers are findings (the `ranked` module itself excepted —
@@ -49,7 +56,8 @@
 //!
 //! Like every static analyzer this one is approximate — the lexer-level
 //! facts (comments, strings, brace depth) are exact, while receiver
-//! identity is name-based and temporaries are statement-scoped. The
+//! identity is declaration-based (never type-inferred) and temporaries
+//! are statement-scoped. The
 //! approximations are chosen to be conservative for this codebase's
 //! conventions and are pinned by the fixture tests at the bottom.
 
@@ -85,7 +93,8 @@ pub struct LockEdge {
 /// The cross-crate lock acquisition graph.
 #[derive(Debug, Default)]
 pub struct LockGraph {
-    /// Node id (`crate/name`) → node.
+    /// Node id (`crate/Owner.field`, or `crate/receiver` when
+    /// undeclared) → node.
     pub nodes: BTreeMap<String, LockNode>,
     /// Sorted, deduplicated edges.
     pub edges: Vec<LockEdge>,
@@ -163,12 +172,27 @@ struct FileCtx {
     krate: String,
     toks: Vec<Tok>,
     lines: Vec<String>,
+    /// `struct` bodies (the owners of lock fields).
+    structs: Vec<Scope>,
+    /// `impl` blocks (the type `self` names inside them).
+    impls: Vec<Scope>,
+}
+
+/// A braced item and the type it names.
+struct Scope {
+    name: String,
+    /// Tokens from the item keyword through the closing brace.
+    range: (usize, usize),
 }
 
 /// One discovered function.
 struct FnInfo {
     name: String,
     file: usize,
+    /// Index of the `fn` token: the signature and body follow it.
+    start: usize,
+    /// The type of the innermost enclosing `impl` block.
+    impl_ty: Option<String>,
     /// Token range of the body, *inside* the outer braces.
     body: (usize, usize),
     /// The signature mentions a `…Guard` type: callers binding the
@@ -178,21 +202,48 @@ struct FnInfo {
     direct: Vec<String>,
 }
 
+/// One `name: …Mutex<…>`-shaped declaration (`Mutex`, `RwLock`,
+/// `RankedMutex` or `RankedCondvar`).
+struct LockDecl {
+    /// Node id: `crate/Owner.name`, or `crate/name` without an owner
+    /// (a `static`).
+    node: String,
+    krate: String,
+    file: usize,
+    name: String,
+    /// The declaring struct, or fn for a binding or parameter.
+    owner: Option<String>,
+    /// The declaring fn's `fn` token, for a binding or parameter.
+    local_to: Option<usize>,
+    /// Declared as `RwLock`: only these receivers make `.read(` /
+    /// `.write(` lock acquisitions.
+    rwlock: bool,
+    /// Rank value and constant, from `RankedMutex<…, { rank::N }>`
+    /// joined with the `ranked.rs` consts.
+    rank: Option<(u16, String)>,
+}
+
+impl LockDecl {
+    fn is_field(&self) -> bool {
+        self.owner.is_some() && self.local_to.is_none()
+    }
+}
+
 /// Everything pass 0 learns about declarations.
 #[derive(Default)]
 struct Decls {
-    /// (crate, name) → rank value, from `RankedMutex<…, { rank::N }>`
-    /// field/binding declarations joined with the `ranked.rs` consts.
-    ranks: BTreeMap<(String, String), (u16, String)>,
-    /// Per-crate receiver names declared as `RwLock` (std or vendored):
-    /// only these make `.read(`/`.write(` lock acquisitions.
-    rwlock_names: BTreeMap<String, BTreeSet<String>>,
+    locks: Vec<LockDecl>,
 }
 
 /// What one call-shaped token pattern means.
 enum Event {
-    /// Acquire the given lock node.
-    Acquire { node: String, line: usize },
+    /// Acquire the given lock node; `ambiguous` when more than one
+    /// declared owner could be meant.
+    Acquire {
+        node: String,
+        line: usize,
+        ambiguous: bool,
+    },
     /// `self.helper()`-style call that Level 3 resolves one level deep.
     Call { name: String, line: usize },
     /// A Condvar wait consuming the guard bound to `arg`.
@@ -213,16 +264,22 @@ struct Guard {
 pub fn analyze_sources(sources: &[(String, String)]) -> LockAnalysis {
     let files: Vec<FileCtx> = sources
         .iter()
-        .map(|(path, content)| FileCtx {
-            path: path.clone(),
-            krate: crate_of(path),
-            toks: truncate_at_cfg_test(lex::lex(content)),
-            lines: content.lines().map(|l| l.to_string()).collect(),
+        .map(|(path, content)| {
+            let toks = truncate_at_cfg_test(lex::lex(content));
+            let (structs, impls) = scan_scopes(&toks);
+            FileCtx {
+                path: path.clone(),
+                krate: crate_of(path),
+                toks,
+                lines: content.lines().map(|l| l.to_string()).collect(),
+                structs,
+                impls,
+            }
         })
         .collect();
 
-    let decls = scan_decls(&files);
     let mut fns = scan_fns(&files);
+    let decls = scan_decls(&files, &fns);
 
     // Pass 1: per-function direct acquisitions (used for call-through).
     for f in fns.iter_mut() {
@@ -234,7 +291,7 @@ pub fn analyze_sources(sources: &[(String, String)]) -> LockAnalysis {
         }
         let mut i = body.0;
         while i < body.1 {
-            if let Some((ev, next)) = classify_at(ctx, &decls, i, body.1) {
+            if let Some((ev, next)) = classify_at(ctx, &decls, f, i) {
                 if let Event::Acquire { node, .. } = ev {
                     direct.insert(node);
                 }
@@ -280,14 +337,12 @@ pub fn analyze_sources(sources: &[(String, String)]) -> LockAnalysis {
     analysis.graph.edges = edges.into_iter().collect();
 
     // Node table: every acquisition site plus every ranked declaration.
-    for ((krate, name), (rank, rank_name)) in &decls.ranks {
-        let node = analysis
-            .graph
-            .nodes
-            .entry(format!("{krate}/{name}"))
-            .or_default();
-        node.rank = Some(*rank);
-        node.rank_name = Some(rank_name.clone());
+    for d in &decls.locks {
+        if let Some((rank, rank_name)) = &d.rank {
+            let node = analysis.graph.nodes.entry(d.node.clone()).or_default();
+            node.rank = Some(*rank);
+            node.rank_name = Some(rank_name.clone());
+        }
     }
     for n in analysis.graph.nodes.values_mut() {
         n.sites.sort();
@@ -313,7 +368,7 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<LockAnalysis> {
 // Pass 0: declarations.
 // ---------------------------------------------------------------------
 
-fn scan_decls(files: &[FileCtx]) -> Decls {
+fn scan_decls(files: &[FileCtx], fns: &[FnInfo]) -> Decls {
     let mut decls = Decls::default();
     // Rank constants live in the service crate's ranked module:
     // `pub const NAME: u16 = N;`.
@@ -335,37 +390,129 @@ fn scan_decls(files: &[FileCtx]) -> Decls {
         }
     }
 
-    for ctx in files {
+    for (fi, ctx) in files.iter().enumerate() {
+        if is_ranked_module(&ctx.path) {
+            continue;
+        }
         let t = &ctx.toks;
         for i in 0..t.len() {
             if t[i].kind != Kind::Ident {
                 continue;
             }
             let ty = t[i].text.as_str();
-            let is_ranked = ty == "RankedMutex" || ty == "RankedCondvar";
-            let is_rwlock = ty == "RwLock";
-            if !is_ranked && !is_rwlock {
+            if !matches!(ty, "Mutex" | "RwLock" | "RankedMutex" | "RankedCondvar") {
                 continue;
             }
             let Some(name) = decl_name_before(t, i) else {
                 continue;
             };
-            if is_rwlock {
-                decls
-                    .rwlock_names
-                    .entry(ctx.krate.clone())
-                    .or_default()
-                    .insert(name);
-            } else if let Some(rank_name) = generic_rank_ref(t, i) {
-                if let Some(&v) = consts.get(&rank_name) {
-                    decls
-                        .ranks
-                        .insert((ctx.krate.clone(), name), (v, rank_name));
-                }
-            }
+            // The innermost enclosing struct body or fn owns the name.
+            let in_struct = ctx
+                .structs
+                .iter()
+                .filter(|s| s.range.0 <= i && i <= s.range.1)
+                .max_by_key(|s| s.range.0);
+            let in_fn = fns
+                .iter()
+                .filter(|f| f.file == fi && f.start <= i && i <= f.body.1)
+                .max_by_key(|f| f.start);
+            let (owner, local_to) = match (in_struct, in_fn) {
+                (Some(s), Some(f)) if f.start > s.range.0 => (Some(f.name.clone()), Some(f.start)),
+                (Some(s), _) => (Some(s.name.clone()), None),
+                (None, Some(f)) => (Some(f.name.clone()), Some(f.start)),
+                (None, None) => (None, None),
+            };
+            let rank = if ty.starts_with("Ranked") {
+                generic_rank_ref(t, i).and_then(|r| consts.get(&r).map(|&v| (v, r)))
+            } else {
+                None
+            };
+            decls.locks.push(LockDecl {
+                node: match &owner {
+                    Some(o) => format!("{}/{o}.{name}", ctx.krate),
+                    None => format!("{}/{name}", ctx.krate),
+                },
+                krate: ctx.krate.clone(),
+                file: fi,
+                name,
+                owner,
+                local_to,
+                rwlock: ty == "RwLock",
+                rank,
+            });
         }
     }
     decls
+}
+
+/// The `struct` bodies and `impl` blocks of one file. An `impl` opens a
+/// scope only in item position, so `impl Trait` argument types do not.
+fn scan_scopes(t: &[Tok]) -> (Vec<Scope>, Vec<Scope>) {
+    let (mut structs, mut impls) = (Vec::new(), Vec::new());
+    for i in 0..t.len() {
+        let is_struct = t[i].ident("struct");
+        let is_impl = t[i].ident("impl")
+            && (i == 0
+                || ["}", ";", "{", "]"].iter().any(|p| t[i - 1].punct(p))
+                || t[i - 1].ident("unsafe"));
+        if !is_struct && !is_impl {
+            continue;
+        }
+        // Header up to the body `{` at angle depth 0. A struct is named
+        // by its first ident; an impl by the last path segment at depth
+        // 0 before any `where` (`impl<T> Trait for a::Type<T>` → Type).
+        let mut name = None;
+        let mut angle = 0i32;
+        let mut sealed = false;
+        let mut open = None;
+        for (j, tok) in t.iter().enumerate().skip(i + 1) {
+            match (&tok.kind, tok.text.as_str()) {
+                (Kind::Punct, "<") => angle += 1,
+                (Kind::Punct, ">") => angle = (angle - 1).max(0),
+                (Kind::Punct, "{") if angle == 0 => {
+                    open = Some(j);
+                    break;
+                }
+                // Unit/tuple struct or bodiless item.
+                (Kind::Punct, ";" | "(") if angle == 0 => break,
+                (Kind::Ident, "where") => sealed = true,
+                (Kind::Ident, id) if angle == 0 && !sealed && (is_impl || name.is_none()) => {
+                    name = Some(id.to_string());
+                }
+                _ => {}
+            }
+        }
+        let (Some(name), Some(open)) = (name, open) else {
+            continue;
+        };
+        let scope = Scope {
+            name,
+            range: (i, close_brace(t, open)),
+        };
+        if is_struct {
+            structs.push(scope);
+        } else {
+            impls.push(scope);
+        }
+    }
+    (structs, impls)
+}
+
+/// Index of the `}` matching the `{` at `open` (the last token when the
+/// braces do not balance).
+fn close_brace(t: &[Tok], open: usize) -> usize {
+    let mut depth = 0i64;
+    for (k, tok) in t.iter().enumerate().skip(open) {
+        if tok.punct("{") {
+            depth += 1;
+        } else if tok.punct("}") {
+            depth -= 1;
+            if depth == 0 {
+                return k;
+            }
+        }
+    }
+    t.len().saturating_sub(1)
 }
 
 /// Walk back from a type identifier to the `name :` it annotates,
@@ -383,7 +530,7 @@ fn decl_name_before(t: &[Tok], ty_idx: usize) -> Option<String> {
             || (tok.kind == Kind::Ident
                 && matches!(
                     tok.text.as_str(),
-                    "Arc" | "Box" | "std" | "sync" | "parking_lot" | "crate" | "ranked" | "super"
+                    "Arc" | "Box" | "std" | "sync" | "crate" | "ranked" | "super"
                 ));
         if skip {
             continue;
@@ -460,24 +607,21 @@ fn scan_fns(files: &[FileCtx]) -> Vec<FnInfo> {
                 i = j.max(i + 2);
                 continue;
             };
-            // Match the closing brace.
-            let mut depth = 1i64;
-            let mut k = open + 1;
-            while k < t.len() && depth > 0 {
-                if t[k].punct("{") {
-                    depth += 1;
-                } else if t[k].punct("}") {
-                    depth -= 1;
-                }
-                k += 1;
-            }
             let returns_guard = t[i + 2..open]
                 .iter()
                 .any(|tok| tok.kind == Kind::Ident && tok.text.ends_with("Guard"));
+            let impl_ty = ctx
+                .impls
+                .iter()
+                .filter(|s| s.range.0 <= i && i <= s.range.1)
+                .max_by_key(|s| s.range.0)
+                .map(|s| s.name.clone());
             fns.push(FnInfo {
                 name,
                 file: fi,
-                body: (open + 1, k.saturating_sub(1)),
+                start: i,
+                impl_ty,
+                body: (open + 1, close_brace(t, open)),
                 returns_guard,
                 direct: Vec::new(),
             });
@@ -535,10 +679,59 @@ fn bare_self(t: &[Tok], dot: usize) -> bool {
     dot >= 1 && t[dot - 1].ident("self") && (dot < 2 || !t[dot - 2].punct("."))
 }
 
-/// Classify the token pattern starting at `i` (within `end`). Returns
-/// the event and the index to resume scanning at.
-fn classify_at(ctx: &FileCtx, decls: &Decls, i: usize, end: usize) -> Option<(Event, usize)> {
+/// The node a lock call on receiver `recv` (the chain ending before
+/// token `dot`, inside `f`) acquires, and whether more than one declared
+/// owner could be meant (see the module docs, item 1).
+fn resolve_lock(
+    ctx: &FileCtx,
+    decls: &Decls,
+    f: &FnInfo,
+    dot: usize,
+    recv: &str,
+) -> (String, bool) {
     let t = &ctx.toks;
+    let bare = format!("{}/{recv}", ctx.krate);
+    let named = decls
+        .locks
+        .iter()
+        .filter(|d| d.krate == ctx.krate && d.name == recv);
+    if !(dot >= 2 && t[dot - 2].punct(".")) {
+        // A plain name: a binding or parameter of this fn, else
+        // undeclared (an untyped `let`, a `static`).
+        let node = named
+            .filter(|d| d.file == f.file && d.local_to == Some(f.start))
+            .map(|d| d.node.clone())
+            .next();
+        return (node.unwrap_or(bare), false);
+    }
+    let fields: Vec<&LockDecl> = named.filter(|d| d.is_field()).collect();
+    let on_self = dot >= 3 && t[dot - 3].ident("self") && !(dot >= 4 && t[dot - 4].punct("."));
+    if on_self {
+        if let Some(d) = fields.iter().find(|d| d.owner == f.impl_ty) {
+            return (d.node.clone(), false);
+        }
+    }
+    let nodes = |same_file: bool| -> BTreeSet<&str> {
+        fields
+            .iter()
+            .filter(|d| !same_file || d.file == f.file)
+            .map(|d| d.node.as_str())
+            .collect()
+    };
+    let (here, anywhere) = (nodes(true), nodes(false));
+    match (here.len(), anywhere.len()) {
+        (1, _) => (here.into_iter().collect(), false),
+        (0, 1) => (anywhere.into_iter().collect(), false),
+        (0, 0) => (bare, false),
+        _ => (bare, true),
+    }
+}
+
+/// Classify the token pattern starting at `i` inside `f`'s body. Returns
+/// the event and the index to resume scanning at.
+fn classify_at(ctx: &FileCtx, decls: &Decls, f: &FnInfo, i: usize) -> Option<(Event, usize)> {
+    let t = &ctx.toks;
+    let end = f.body.1;
     // `thread::sleep(` — blocking.
     if t[i].ident("sleep")
         && i >= 2
@@ -593,10 +786,12 @@ fn classify_at(ctx: &FileCtx, decls: &Decls, i: usize, end: usize) -> Option<(Ev
             if STDIO_RECEIVERS.contains(&recv.as_str()) {
                 return None;
             }
+            let (node, ambiguous) = resolve_lock(ctx, decls, f, i, &recv);
             Some((
                 Event::Acquire {
-                    node: format!("{}/{}", ctx.krate, recv),
+                    node,
                     line,
+                    ambiguous,
                 },
                 next,
             ))
@@ -604,14 +799,16 @@ fn classify_at(ctx: &FileCtx, decls: &Decls, i: usize, end: usize) -> Option<(Ev
         "read" | "write" => {
             let recv = receiver_before(t, i)?;
             let is_rwlock = decls
-                .rwlock_names
-                .get(&ctx.krate)
-                .is_some_and(|s| s.contains(&recv));
+                .locks
+                .iter()
+                .any(|d| d.rwlock && d.krate == ctx.krate && d.name == recv);
             if is_rwlock {
+                let (node, ambiguous) = resolve_lock(ctx, decls, f, i, &recv);
                 Some((
                     Event::Acquire {
-                        node: format!("{}/{}", ctx.krate, recv),
+                        node,
                         line,
+                        ambiguous,
                     },
                     next,
                 ))
@@ -856,9 +1053,26 @@ fn walk_fn(
             continue;
         }
 
-        if let Some((ev, next)) = classify_at(ctx, decls, i, f.body.1) {
+        if let Some((ev, next)) = classify_at(ctx, decls, f, i) {
             match ev {
-                Event::Acquire { node, line } => {
+                Event::Acquire {
+                    node,
+                    line,
+                    ambiguous,
+                } => {
+                    if ambiguous {
+                        analysis.findings.push(Finding {
+                            rule: "lock-identity",
+                            path: ctx.path.clone(),
+                            line,
+                            text: text_at(line),
+                            message: format!(
+                                "`{node}`: more than one type declares this lock field and \
+                                 the receiver does not say which; lock it through `self.` \
+                                 in the owner's impl, or rename the field"
+                            ),
+                        });
+                    }
                     for g in &guards {
                         for from in &g.locks {
                             edges.insert(LockEdge {
@@ -1368,7 +1582,7 @@ fn f(shared: &Shared, out: &mut String) {
 ",
         )]);
         assert!(
-            a.graph.nodes.contains_key("minlp/pool"),
+            a.graph.nodes.contains_key("minlp/Shared.pool"),
             "{:?}",
             a.graph.nodes
         );
@@ -1427,7 +1641,7 @@ fn f(a: &A) {
         );
         let a = analyze_sources(&[ranked.clone(), ok]);
         assert_eq!(
-            a.graph.nodes.get("service/queue").and_then(|n| n.rank),
+            a.graph.nodes.get("service/A.queue").and_then(|n| n.rank),
             Some(100)
         );
         assert!(
@@ -1458,6 +1672,77 @@ fn f(a: &A) {
             "{:?}",
             a.findings
         );
+    }
+
+    #[test]
+    fn same_named_fields_of_two_types_are_two_nodes() {
+        // FrontDesk and the sweep collector both call their mutex
+        // `state`, at different ranks: keyed by crate and field alone
+        // they merged into one node that carried only one of the ranks.
+        let ranked = src(
+            "crates/service/src/ranked.rs",
+            "\
+pub mod rank {
+    pub const FRONT_DESK: u16 = 200;
+    pub const SWEEP_RESULTS: u16 = 700;
+}
+",
+        );
+        let desk = src(
+            "crates/service/src/cache.rs",
+            "\
+pub struct FrontDesk<V, T> {
+    state: RankedMutex<FrontState<V, T>, { rank::FRONT_DESK }>,
+}
+impl<V: Clone, T> FrontDesk<V, T> {
+    fn admit(&self, run: impl FnOnce(u32) -> u32) {
+        let st = self.state.lock();
+        run(st.len());
+    }
+}
+",
+        );
+        let collector = src(
+            "crates/service/src/sweep_driver.rs",
+            "\
+struct Collector {
+    state: RankedMutex<CollectorState, { rank::SWEEP_RESULTS }>,
+}
+fn drain(collector: &Collector) {
+    let st = collector.state.lock();
+    use_it(st);
+}
+",
+        );
+        let a = analyze_sources(&[ranked.clone(), desk.clone(), collector]);
+        assert!(a.findings.is_empty(), "{:?}", a.findings);
+        let node = |id: &str| a.graph.nodes.get(id).map(|n| (n.rank, n.sites.len()));
+        assert_eq!(node("service/FrontDesk.state"), Some((Some(200), 1)));
+        assert_eq!(node("service/Collector.state"), Some((Some(700), 1)));
+        assert!(!a.graph.nodes.contains_key("service/state"));
+
+        // A third file locking `x.state` has no declaration of its own
+        // and no `self.` to go by: that is a finding, not a guess.
+        let other = src(
+            "crates/service/src/other.rs",
+            "\
+fn peek(x: &Thing) {
+    let st = x.state.lock();
+    use_it(st);
+}
+",
+        );
+        let a = analyze_sources(&[
+            ranked,
+            desk,
+            other,
+            src(
+                "crates/service/src/sweep_driver.rs",
+                "struct Collector { state: RankedMutex<S, { rank::SWEEP_RESULTS }> }\n",
+            ),
+        ]);
+        assert_eq!(rules(&a), vec!["lock-identity"], "{:?}", a.findings);
+        assert_eq!(a.findings[0].path, "crates/service/src/other.rs");
     }
 
     #[test]

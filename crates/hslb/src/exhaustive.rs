@@ -120,31 +120,22 @@ impl<'a> ExhaustiveOptimizer<'a> {
                 (seq.max(self.t(Component::Ocn, n_ocn)), ni, nl)
             }
             Layout::FullySequential => {
-                let cap = self.total_nodes;
-                let ni = self
-                    .fits
-                    .optimized_curve(Component::Ice)
-                    .argmin_nodes(self.floors.ice, cap);
-                let nl = self
-                    .fits
-                    .optimized_curve(Component::Lnd)
-                    .argmin_nodes(self.floors.lnd, cap);
-                let na = self
-                    .fits
-                    .optimized_curve(Component::Atm)
-                    .argmin_nodes(self.floors.atm, cap);
-                let no = self
-                    .fits
-                    .optimized_curve(Component::Ocn)
-                    .argmin_nodes(self.floors.ocn, cap);
-                let total = self.t(Component::Ice, ni)
-                    + self.t(Component::Lnd, nl)
-                    + self.t(Component::Atm, na)
-                    + self.t(Component::Ocn, no);
-                let _ = (n_atm, n_ocn);
-                (total, ni, nl)
+                unreachable!("fully sequential min-max has no outer choice")
             }
         }
+    }
+
+    /// The node count in `[floor, total_nodes]` minimizing `c`'s fitted
+    /// time on its own, taken from `allowed` when the component has an
+    /// allowed set (`None` when the set leaves nothing in range).
+    fn best_alone(&self, c: Component, allowed: &Option<Vec<i64>>, floor: i64) -> Option<i64> {
+        let cap = self.total_nodes;
+        if allowed.is_none() {
+            return Some(self.fits.optimized_curve(c).argmin_nodes(floor, cap));
+        }
+        Self::candidates(allowed, floor, cap)?
+            .into_iter()
+            .min_by(|&a, &b| hslb_numerics::float::cmp_f64(self.t(c, a), self.t(c, b)))
     }
 
     /// Candidate outer values for a dimension: the allowed list when one
@@ -208,17 +199,17 @@ impl<'a> ExhaustiveOptimizer<'a> {
         let mut pruned = 0usize;
         let mut best: Option<(f64, Allocation)> = None;
 
-        // Layout 3 needs no outer enumeration at all.
+        // Layout 3 needs no outer enumeration at all: every component
+        // runs alone on up to the whole machine.
         if self.layout == Layout::FullySequential {
-            let (total, ni, nl) = self.score_minmax(0, 0);
-            let na = self
-                .fits
-                .optimized_curve(Component::Atm)
-                .argmin_nodes(self.floors.atm, n);
-            let no = self
-                .fits
-                .optimized_curve(Component::Ocn)
-                .argmin_nodes(self.floors.ocn, n);
+            let ni = self.best_alone(Component::Ice, &None, self.floors.ice)?;
+            let nl = self.best_alone(Component::Lnd, &None, self.floors.lnd)?;
+            let na = self.best_alone(Component::Atm, &self.atm_allowed, self.floors.atm)?;
+            let no = self.best_alone(Component::Ocn, &self.ocean_allowed, self.floors.ocn)?;
+            let total = self.t(Component::Ice, ni)
+                + self.t(Component::Lnd, nl)
+                + self.t(Component::Atm, na)
+                + self.t(Component::Ocn, no);
             return Some(ExhaustiveResult {
                 allocation: Allocation {
                     lnd: nl,

@@ -3,7 +3,9 @@
 //! curves, and the simulated expert across sizes.
 
 use hslb::manual::SimulatedExpert;
-use hslb::{snap_to_sweet_spots, ExhaustiveOptimizer, GatherPlan, Hslb, HslbOptions, Objective};
+use hslb::{
+    snap_to_sweet_spots, ExhaustiveOptimizer, GatherPlan, Hslb, HslbOptions, NodeFloors, Objective,
+};
 use hslb_cesm::{Layout, Machine, NoiseSpec, Resolution, ResolutionConfig, Simulator};
 
 #[test]
@@ -47,27 +49,74 @@ fn depth_first_with_pseudocost_on_real_model() {
 }
 
 #[test]
-fn tsync_with_parallel_solver_is_consistent() {
-    // Nonconvex constraints + parallel tree search: the branching-based
-    // enforcement must be thread-safe and deterministic in its optimum.
+fn exhaustive_fully_sequential_min_max_keeps_to_the_allowed_sets() {
+    // The service key `1deg|sequential|min-max|n512|oceantrue|seed42`.
+    // Fully sequential, every component runs alone, so the enumeration
+    // picks each count on its own; it used to pick the ocean's from the
+    // whole [floor, N] range (512, outside the 1° set) while the MINLP
+    // kept to the set (480).
+    let sim = Simulator::new(
+        Machine::intrepid(),
+        ResolutionConfig::one_degree(),
+        NoiseSpec::default(),
+        42,
+    );
+    let mut opts = HslbOptions::new(512);
+    opts.layout = Layout::FullySequential;
+    opts.objective = Objective::MinMax;
+    opts.gather = GatherPlan::LogSpaced {
+        min_nodes: 8,
+        max_nodes: Machine::intrepid().nodes,
+        points: 8,
+    };
+    let h = Hslb::new(&sim, opts);
+    let fits = h.fit(&h.gather()).unwrap();
+    let minlp = h.solve(&fits).unwrap();
+
+    let mut opt = ExhaustiveOptimizer::new(&fits, Layout::FullySequential, 512);
+    opt.ocean_allowed = sim.config.ocean_allowed.clone();
+    opt.atm_allowed = sim.config.atm_allowed.clone();
+    opt.floors = NodeFloors::from_config(&sim.config);
+    let ex = opt
+        .try_solve(Objective::MinMax)
+        .expect("a candidate allocation");
+    let (ocean, atm) = (
+        sim.config.ocean_allowed.as_ref().unwrap(),
+        sim.config.atm_allowed.as_ref().unwrap(),
+    );
+    assert!(
+        ocean.contains(&ex.allocation.ocn),
+        "ocn {}",
+        ex.allocation.ocn
+    );
+    assert!(
+        atm.contains(&ex.allocation.atm),
+        "atm {}",
+        ex.allocation.atm
+    );
+    assert!(
+        (ex.objective - minlp.predicted_total).abs() <= 1e-9 * minlp.predicted_total,
+        "exhaustive {} vs MINLP {}",
+        ex.objective,
+        minlp.predicted_total
+    );
+    sim.run_case(&ex.allocation, Layout::FullySequential, 7)
+        .expect("the enumerated allocation executes");
+}
+
+#[test]
+fn tsync_window_is_honoured() {
+    // Nonconvex constraints are enforced by branching: the solved
+    // allocation keeps the ice/land gap inside the sync window.
     let sim = Simulator::one_degree(42);
     let fits = {
         let h = Hslb::new(&sim, HslbOptions::new(256));
         h.fit(&h.gather()).unwrap()
     };
-    let mut serial_opts = HslbOptions::new(256);
-    serial_opts.tsync = Some(10.0);
-    let serial = Hslb::new(&sim, serial_opts).solve(&fits).unwrap();
-
-    let mut par_opts = HslbOptions::new(256);
-    par_opts.tsync = Some(10.0);
-    par_opts.solver.threads = 3;
-    let parallel = Hslb::new(&sim, par_opts).solve(&fits).unwrap();
-    assert!(
-        (serial.predicted_total - parallel.predicted_total).abs() < 1e-6 * serial.predicted_total
-    );
-    // The sync window is honored in both.
-    let gap = (serial.predicted.ice - serial.predicted.lnd).abs();
+    let mut opts = HslbOptions::new(256);
+    opts.tsync = Some(10.0);
+    let solved = Hslb::new(&sim, opts).solve(&fits).unwrap();
+    let gap = (solved.predicted.ice - solved.predicted.lnd).abs();
     assert!(gap <= 10.0 + 1e-6, "gap {gap}");
 }
 

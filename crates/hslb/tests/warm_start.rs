@@ -4,21 +4,17 @@
 //! cold two-phase solve, so LP vertices can differ in their last bits —
 //! but the *pipeline deliverable* must not: the integer allocation, the
 //! predicted component times, and the predicted/actual totals have to be
-//! bit-for-bit identical with warm-start on or off, at any thread count.
+//! bit-for-bit identical with warm-start on or off.
 //! That is the acceptance bar for the warm-start work: it buys time,
 //! never a different answer.
 
 use hslb::{GatherPlan, Hslb, HslbOptions, Objective};
 use hslb_cesm::{Layout, Machine, NoiseSpec, ResolutionConfig, Simulator};
 
-fn run_report(warm_start: bool, threads: usize, seed: u64) -> hslb::ExperimentReport {
+fn run_report(warm_start: bool, seed: u64) -> hslb::ExperimentReport {
     let sim = Simulator::one_degree(seed);
     let mut opts = HslbOptions::new(128);
     opts.solver.warm_start = warm_start;
-    opts.solver.threads = threads;
-    // Pin the cutover off so threads = 4 genuinely exercises the
-    // parallel driver (and its warm-state handoff across workers).
-    opts.solver.serial_cutover = 0;
     Hslb::new(&sim, opts).run(None).expect("pipeline run")
 }
 
@@ -54,9 +50,9 @@ fn assert_bit_identical(a: &hslb::ExperimentReport, b: &hslb::ExperimentReport, 
 
 #[test]
 fn warm_and_cold_incumbents_are_bit_identical_serial() {
-    let warm = run_report(true, 1, 20);
-    let cold = run_report(false, 1, 20);
-    assert_bit_identical(&warm, &cold, "threads=1");
+    let warm = run_report(true, 20);
+    let cold = run_report(false, 20);
+    assert_bit_identical(&warm, &cold, "seed=20");
     // The warm run must actually have taken the warm path, or this test
     // proves nothing.
     let stats = warm.solver_stats.as_ref().expect("MINLP rung solved");
@@ -73,51 +69,26 @@ fn warm_and_cold_incumbents_are_bit_identical_serial() {
 }
 
 #[test]
-fn warm_and_cold_incumbents_are_bit_identical_parallel() {
-    let warm = run_report(true, 4, 20);
-    let cold = run_report(false, 4, 20);
-    assert_bit_identical(&warm, &cold, "threads=4");
-    let stats = warm.solver_stats.as_ref().expect("MINLP rung solved");
-    assert!(stats.warm_resolves > 0, "parallel warm path not exercised");
-}
-
-#[test]
-fn warm_serial_matches_warm_parallel() {
-    // Cross-thread-count identity with warm-start on: the parallel
-    // driver's warm handoff (stale coverage horizons and all) must land
-    // on the same deliverable as the serial one.
-    let serial = run_report(true, 1, 20);
-    let parallel = run_report(true, 4, 20);
-    assert_bit_identical(&serial, &parallel, "warm serial vs parallel");
-}
-
-#[test]
 fn warm_start_is_bit_identical_across_scenarios() {
-    // A second machine seed, both drivers, to guard against the first
-    // scenario happening to never branch deep enough to hand a tableau
-    // down an edge. Seed 42 has a plateau of alternate optima (several
-    // integer allocations share the bit-identical min-max objective), so
-    // the argmin is not comparable here — even two cold parallel runs
-    // disagree on it. What must hold, warm or cold, at any thread count,
-    // is the optimum itself: the predicted total, bit for bit. (Same
-    // stance as the serial-cutover telemetry test: "the argmin may
-    // differ among degenerate optima, the optimum may not".)
-    let baseline = run_report(false, 1, 42);
-    let base_pred = baseline.hslb.predicted_total.expect("minlp objective");
-    for threads in [1usize, 4] {
-        let warm = run_report(true, threads, 42);
-        let pred = warm.hslb.predicted_total.expect("minlp objective");
-        assert_eq!(
-            pred.to_bits(),
-            base_pred.to_bits(),
-            "seed=42 threads={threads}: warm optimum {pred} vs cold {base_pred}"
-        );
-        let stats = warm.solver_stats.as_ref().expect("MINLP rung solved");
-        assert!(
-            stats.warm_resolves > 0,
-            "seed=42 threads={threads}: warm path not exercised"
-        );
-    }
+    // A second machine seed, to guard against the first scenario
+    // happening to never branch deep enough to hand a tableau down an
+    // edge. Seed 42 has a plateau of alternate optima (several integer
+    // allocations share the bit-identical min-max objective), so the
+    // warm and cold pivot routes may settle on different argmins. What
+    // must hold is the optimum itself: the predicted total, bit for bit.
+    let cold = run_report(false, 42);
+    let warm = run_report(true, 42);
+    let (pw, pc) = (
+        warm.hslb.predicted_total.expect("minlp objective"),
+        cold.hslb.predicted_total.expect("minlp objective"),
+    );
+    assert_eq!(
+        pw.to_bits(),
+        pc.to_bits(),
+        "seed=42: warm optimum {pw} vs cold {pc}"
+    );
+    let stats = warm.solver_stats.as_ref().expect("MINLP rung solved");
+    assert!(stats.warm_resolves > 0, "seed=42: warm path not exercised");
 }
 
 #[test]
@@ -125,8 +96,8 @@ fn warm_start_saves_simplex_work() {
     // The point of the tentpole: warm runs must not do *more* simplex
     // iterations than cold ones (they re-use the parent basis instead of
     // re-deriving it two-phase from scratch).
-    let warm = run_report(true, 1, 20);
-    let cold = run_report(false, 1, 20);
+    let warm = run_report(true, 20);
+    let cold = run_report(false, 20);
     let ws = warm.solver_stats.as_ref().expect("stats");
     let cs = cold.solver_stats.as_ref().expect("stats");
     assert!(

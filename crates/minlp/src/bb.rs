@@ -1,30 +1,27 @@
-//! The branch-and-bound tree search (serial driver + shared node logic).
+//! The branch-and-bound tree search.
 
 use crate::ir::Ir;
 use crate::nlp::{self, Cut, NlpStatus};
 use crate::options::{Algorithm, Branching, MinlpOptions, NodeSelection};
+use crate::pseudocost::{BranchDir, PseudoCostTable};
 use crate::solution::{MinlpSolution, MinlpStatus, SolveStats};
 use hslb_lp::{LpStatus, SimplexOptions};
 use hslb_numerics::float;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 /// A solved tableau handed from a parent node to its children, plus how
 /// far into the (index-stable) cut pool its rows reach. Children clone
 /// the tableau, tighten the branched bounds, append any pool cuts past
 /// `covered`, and repair feasibility with the dual simplex instead of
-/// solving cold from scratch (DESIGN.md §14). Shared behind an `Arc` —
+/// solving cold from scratch (DESIGN.md §14). Shared behind an `Rc` —
 /// both children of a branching read the same parent state.
 #[derive(Debug)]
-pub(crate) struct WarmState {
-    pub lp: hslb_lp::WarmLp,
+struct WarmState {
+    lp: hslb_lp::WarmLp,
     /// Pool entries (by index, retired included) present as tableau rows.
-    /// Under the parallel driver this may over-count — cuts absorbed by
-    /// other workers between this node's snapshot and its publish are
-    /// claimed but absent — which only weakens the child's starting
-    /// relaxation; cuts are optional tightening, so the answer is
-    /// unaffected.
-    pub covered: usize,
+    covered: usize,
 }
 
 /// A live tree node. Bounds are stored as deltas against the root —
@@ -32,22 +29,22 @@ pub(crate) struct WarmState {
 /// branchings narrow a per-set member index window, so a node costs a few
 /// dozen bytes regardless of how many binaries the SOS sets hold.
 #[derive(Debug, Clone)]
-pub(crate) struct Node {
+struct Node {
     /// Accumulated variable bound overrides (intersected with root bounds).
-    pub overrides: Vec<(usize, f64, f64)>,
+    overrides: Vec<(usize, f64, f64)>,
     /// Inclusive member-index window per SOS set; members outside the
     /// window are fixed to zero when the node's LP is built.
-    pub sos_window: Vec<(usize, usize)>,
+    sos_window: Vec<(usize, usize)>,
     /// Lower bound inherited from the parent's relaxation.
-    pub bound: f64,
-    pub depth: usize,
+    bound: f64,
+    depth: usize,
     /// The integer branching that created this node, for pseudo-cost
     /// bookkeeping: `(variable, fractional part at the parent, direction)`.
-    pub branch: Option<(usize, f64, crate::pseudocost::BranchDir)>,
+    branch: Option<(usize, f64, BranchDir)>,
     /// Nearest ancestor's solved tableau (None at the root or with
     /// warm-start off). An ancestor handle further up than the parent is
     /// still valid — bounds only tighten down the tree — just staler.
-    pub warm: Option<std::sync::Arc<WarmState>>,
+    warm: Option<Rc<WarmState>>,
 }
 
 /// Heap entry ordered so that `BinaryHeap::pop` yields the best bound.
@@ -90,7 +87,7 @@ impl Ord for Entry {
 }
 
 /// What processing a node produced.
-pub(crate) enum NodeOutcome {
+enum NodeOutcome {
     /// Fathomed: relaxation infeasible, bound-dominated, or an enforced
     /// nonconvex constraint ruled the (fully fixed) node out.
     Pruned { infeasible: bool },
@@ -101,28 +98,26 @@ pub(crate) enum NodeOutcome {
 }
 
 /// Node-processing report: outcome + cuts generated + work counters.
-pub(crate) struct Processed {
-    pub outcome: NodeOutcome,
-    pub new_cuts: Vec<Cut>,
-    pub lp_solves: usize,
-    pub simplex_iters: usize,
+struct Processed {
+    outcome: NodeOutcome,
+    new_cuts: Vec<Cut>,
+    lp_solves: usize,
+    simplex_iters: usize,
     /// LP solves answered warm / warm attempts that fell back cold.
-    pub warm_resolves: usize,
-    pub warm_fallbacks: usize,
+    warm_resolves: usize,
+    warm_fallbacks: usize,
     /// The node's final solved tableau when it branched — the driver
     /// wraps it in a [`WarmState`] (stamping pool coverage after the
     /// absorb) and attaches it to the children.
-    pub warm: Option<hslb_lp::WarmLp>,
+    warm: Option<hslb_lp::WarmLp>,
     /// This node's own relaxation bound (∞ when infeasible) — consumed by
     /// the driver to update pseudo-costs against the parent bound.
-    pub relax_bound: f64,
+    relax_bound: f64,
 }
 
-/// Publish a driver's final work counters to the telemetry sink. Workers
-/// in the parallel driver call this with their *local* tallies, so the
-/// sink's totals equal the merged [`SolveStats`] regardless of thread
-/// count.
-pub(crate) fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &SolveStats) {
+/// Publish the solve's final work counters to the telemetry sink, so the
+/// sink's totals equal the returned [`SolveStats`].
+fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &SolveStats) {
     if !tel.is_enabled() {
         return;
     }
@@ -142,7 +137,7 @@ pub(crate) fn emit_stats_counters(tel: &hslb_telemetry::Telemetry, stats: &Solve
 
 /// Resolve a node's effective bounds; `None` when an intersection is empty
 /// (node trivially infeasible).
-pub(crate) fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
+fn node_bounds(ir: &Ir, node: &Node) -> Option<(Vec<f64>, Vec<f64>)> {
     let mut lb = ir.lb.clone();
     let mut ub = ir.ub.clone();
     for &(v, lo, hi) in &node.overrides {
@@ -176,7 +171,7 @@ fn fractional_int(
     x: &[f64],
     tol: f64,
     rule: crate::options::IntVarSelection,
-    pc: &crate::pseudocost::PseudoCostTable,
+    pc: &PseudoCostTable,
 ) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (v, &xv) in x.iter().enumerate().take(ir.num_vars()) {
@@ -270,7 +265,7 @@ fn branch_int(node: &Node, v: usize, xv: f64, lb_v: f64, ub_v: f64, bound: f64) 
         child.overrides.push((v, f64::NEG_INFINITY, left_hi));
         child.bound = bound;
         child.depth += 1;
-        child.branch = Some((v, frac.max(1e-6), crate::pseudocost::BranchDir::Down));
+        child.branch = Some((v, frac.max(1e-6), BranchDir::Down));
         out.push(child);
     }
     if right_lo <= ub_v + 1e-9 {
@@ -278,27 +273,27 @@ fn branch_int(node: &Node, v: usize, xv: f64, lb_v: f64, ub_v: f64, bound: f64) 
         child.overrides.push((v, right_lo, f64::INFINITY));
         child.bound = bound;
         child.depth += 1;
-        child.branch = Some((v, (1.0 - frac).max(1e-6), crate::pseudocost::BranchDir::Up));
+        child.branch = Some((v, (1.0 - frac).max(1e-6), BranchDir::Up));
         out.push(child);
     }
     out
 }
 
-/// Process one node against a snapshot of the global cut pool
-/// (`pool_cuts` with its parallel `pool_retired` flags — indices are
-/// stable across the solve, see [`nlp::CutPool`]).
+/// Process one node against the cut pool (`pool_cuts` with its
+/// `pool_retired` flags — indices are stable across the solve, see
+/// [`nlp::CutPool`]).
 ///
 /// `cutoff` is the objective value a node must strictly beat (incumbent
 /// minus gap); nodes at or above it are pruned. Newly generated OA cuts
 /// are returned for the driver to publish.
-pub(crate) fn process_node(
+fn process_node(
     ir: &Ir,
     opts: &MinlpOptions,
     node: &Node,
     pool_cuts: &[Cut],
     pool_retired: &[bool],
     cutoff: f64,
-    pc: &crate::pseudocost::PseudoCostTable,
+    pc: &PseudoCostTable,
 ) -> Processed {
     let mut report = Processed {
         outcome: NodeOutcome::Pruned { infeasible: true },
@@ -612,7 +607,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
     } else {
         ir
     };
-    let pc = crate::pseudocost::PseudoCostTable::new(ir.num_vars());
+    let mut pc = PseudoCostTable::new(ir.num_vars());
 
     // Root: continuous NLP relaxation (Kelley). Its cuts seed the pool —
     // the paper's "initial linearization point".
@@ -660,7 +655,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
         // entry (the pool was just seeded from its cuts), so the first
         // tree solve repairs bounds instead of rebuilding two-phase.
         warm: root_relax.warm.take().map(|lp| {
-            std::sync::Arc::new(WarmState {
+            Rc::new(WarmState {
                 lp,
                 covered: pool.total_len(),
             })
@@ -783,7 +778,7 @@ pub fn solve(ir: &Ir, opts: &MinlpOptions) -> MinlpSolution {
                 // coverage is stamped after the absorb above, so a child
                 // appends only cuts its inherited rows genuinely lack.
                 let handoff = node_warm.map(|lp| {
-                    std::sync::Arc::new(WarmState {
+                    Rc::new(WarmState {
                         lp,
                         covered: pool.total_len(),
                     })

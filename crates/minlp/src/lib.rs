@@ -29,9 +29,11 @@
 //!   `T_sync` ice/land synchronization window is a difference of convex
 //!   functions): they contribute no cuts and are enforced by feasibility
 //!   checks plus branching, which is exact once the involved integers are
-//!   fixed,
-//! * a parallel tree search sharing the incumbent and cut pool across
-//!   worker threads ([`solve_parallel`]).
+//!   fixed.
+//!
+//! Like MINOTAUR in the paper, the tree search is serial: one thread
+//! owns the node queue, the cut pool, the incumbent and the pseudo-cost
+//! table.
 //!
 //! The continuous relaxations are solved with Kelley's cutting-plane
 //! method ([`solve_relaxation`]) on top of the [`hslb_lp`] simplex — the same
@@ -41,7 +43,6 @@ mod bb;
 mod ir;
 mod nlp;
 mod options;
-mod parallel;
 mod presolve;
 mod pseudocost;
 mod solution;
@@ -50,7 +51,5 @@ pub use bb::solve;
 pub use ir::{compile, CompileError, Ir};
 pub use nlp::{solve_relaxation, Cut, CutPool, NlpResult, NlpStatus};
 pub use options::{Algorithm, Branching, IntVarSelection, MinlpOptions, NodeSelection};
-pub use parallel::solve_parallel;
 pub use presolve::{propagate, PresolveResult};
-pub use pseudocost::{BranchDir, PseudoCostTable};
 pub use solution::{AuditStamp, MinlpSolution, MinlpStatus, SolveStats};

@@ -89,22 +89,11 @@ pub struct MinlpOptions {
     /// (warm coverage prefixes stay valid) and are revived if the search
     /// regenerates them exactly. `0` disables aging.
     pub cut_age_incumbents: usize,
-    /// Worker threads for [`crate::solve_parallel`] (ignored by `solve`).
-    pub threads: usize,
-    /// Serial fast-path cutover for [`crate::solve_parallel`]: when the
-    /// root relaxation proves the branch-and-bound tree small — the
-    /// product of undecided SOS-set sizes times 2^(fractional integers)
-    /// is at most this — the solve is delegated to the serial driver
-    /// instead of spinning up workers that would mostly idle at the tail
-    /// of a tiny tree. `0` disables the cutover. The incumbent is
-    /// identical either way (asserted by the telemetry integration
-    /// tests); only thread bring-up/tear-down is skipped.
-    pub serial_cutover: usize,
     /// Print a progress line to stderr every `n` processed nodes
-    /// (`None` = silent). Serial driver only.
+    /// (`None` = silent).
     pub log_every: Option<usize>,
     /// Telemetry sink for solver events (incumbent timeline, cut-pool
-    /// growth, per-worker utilization). Disabled by default; the solve
+    /// growth, work counters). Disabled by default; the solve
     /// path is identical either way — instrumentation is strictly
     /// passive.
     pub telemetry: hslb_telemetry::Telemetry,
@@ -128,8 +117,6 @@ impl Default for MinlpOptions {
             max_kelley_iters: 120,
             warm_start: true,
             cut_age_incumbents: 8,
-            threads: 1,
-            serial_cutover: 64,
             log_every: None,
             telemetry: hslb_telemetry::Telemetry::disabled(),
         }

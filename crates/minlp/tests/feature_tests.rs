@@ -172,18 +172,3 @@ fn generous_deadline_does_not_change_the_optimum() {
     assert_eq!(with_deadline.status, MinlpStatus::Optimal);
     assert_eq!(with_deadline.objective, unlimited.objective);
 }
-
-#[test]
-fn parallel_zero_deadline_stops_cleanly() {
-    let ir = compile(&chained_model(30.0, 3)).unwrap();
-    let sol = hslb_minlp::solve_parallel(
-        &ir,
-        &MinlpOptions {
-            threads: 2,
-            time_limit: Some(std::time::Duration::ZERO),
-            ..Default::default()
-        },
-    );
-    assert_eq!(sol.status, MinlpStatus::TimeLimitNoIncumbent);
-    assert!(!sol.has_solution());
-}

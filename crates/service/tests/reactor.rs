@@ -20,8 +20,20 @@ use hslb_telemetry::json::Value;
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+
+/// Held by every test in this file for as long as its server runs. The
+/// thread-bound test counts every thread in the process, so a server
+/// another test started in parallel would count against its bound.
+static ONE_SERVER_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn one_server_at_a_time() -> MutexGuard<'static, ()> {
+    // A failed test poisons the lock; the next test still runs alone.
+    ONE_SERVER_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
 
 /// Start a reactor-fronted service on an ephemeral port; returns the
 /// address and the join handle of the loop thread (joins when a client
@@ -61,6 +73,7 @@ fn parse_line(line: &str) -> (bool, Value) {
 /// correct id correlation, replies arriving in any order.
 #[test]
 fn pipelined_replies_are_bounded_and_correlated() {
+    let _alone = one_server_at_a_time();
     let workers = 2;
     let (addr, handle) = start_server(small_options(workers), ReactorOptions::default());
     let baseline = thread_count();
@@ -136,6 +149,7 @@ fn pipelined_replies_are_bounded_and_correlated() {
 /// client's fault accounting shows the faults actually fired.
 #[test]
 fn reactor_survives_injected_connection_faults() {
+    let _alone = one_server_at_a_time();
     let faults = ServiceFaultSpec {
         drop_rate: 0.12,
         truncate_rate: 0.12,
@@ -187,6 +201,7 @@ fn reactor_survives_injected_connection_faults() {
 /// bounded and other connections keep serving.
 #[test]
 fn slow_reader_is_disconnected_not_buffered() {
+    let _alone = one_server_at_a_time();
     let reactor_opts = ReactorOptions {
         max_outbound_bytes: 4 * 1024,
         ..ReactorOptions::default()
@@ -247,6 +262,7 @@ fn slow_reader_is_disconnected_not_buffered() {
 /// in flight.
 #[test]
 fn drain_answers_every_queued_reply_before_ack() {
+    let _alone = one_server_at_a_time();
     // One worker and distinct scenarios: most submissions are still
     // queued (not yet solving) when the shutdown lands right behind
     // them on the same connection.
@@ -305,6 +321,7 @@ fn drain_answers_every_queued_reply_before_ack() {
 /// `misrouted` rejection naming the owner.
 #[test]
 fn sharded_reactor_rejects_misrouted_keys() {
+    let _alone = one_server_at_a_time();
     let reactor_opts = ReactorOptions {
         shard: Some(ShardSpec { index: 0, total: 2 }),
         ..ReactorOptions::default()
